@@ -25,8 +25,7 @@ from scipy import stats
 from .domain import AnisotropyParams, VelocityField
 from .errors import ConfigError, FitWindowError, InsufficientDecayError, SweepError
 from .fields import ScalarField
-from .particles import (VarianceMap, feynman_kac, variance_integral,
-                        variance_integral_stderr)
+from .particles import feynman_kac, variance_integral, variance_integral_stderr
 from .solver import DecaySeries, SolverConfig, run
 
 DEFAULT_SWEEP_KAPPAS = (1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1)
@@ -289,6 +288,13 @@ class FdrResult:
     rhs_stderr: float
 
 
+def check_checkpoint(t: float, dt: float) -> None:
+    """Reject an FDR checkpoint t that is not a whole number of solver steps dt."""
+    if abs(round(t / dt) * dt - t) > 1e-9 * abs(t):
+        raise ConfigError(f"fdr.t: checkpoint {t} is not a whole number of "
+                          f"solver steps dt={dt}")
+
+
 def fdr_check(rho0: ScalarField, velocity: VelocityField, kappa: float, t: float,
               dt: float, n: int, ds: float, seed: int, record_every: int = 10,
               launch_box=None, stream: int = 0,
@@ -299,19 +305,15 @@ def fdr_check(rho0: ScalarField, velocity: VelocityField, kappa: float, t: float
     rhs = integral of the trajectory-endpoint variance map.  The ratio is
     reported, not asserted: lhs/rhs is 0.5 when the dissipation identity
     carries its usual factor 2, and both conventions appear in practice.
+    t must be a whole number of solver steps dt, so that both sides are
+    taken at the same time.
     """
+    check_checkpoint(t, dt)
     cfg = SolverConfig(kappa=kappa, dt=dt, t_end=t, record_every=record_every)
     series = run(rho0, velocity, cfg, grad_backend=grad_backend)
     lhs = float(series.dissipation[-1])
-    if kappa == 0.0:
-        # deterministic trajectories: variance is identically zero
-        box = launch_box if launch_box is not None else rho0.box
-        zeros = np.zeros((box.nx, box.ny))
-        vmap = VarianceMap(box, zeros, n_per_point=n, second_moment=zeros,
-                           var_of_var=zeros)
-    else:
-        _, vmap = feynman_kac(rho0, velocity, t, kappa, n, ds, seed,
-                              launch_box=launch_box, stream=stream)
+    _, vmap = feynman_kac(rho0, velocity, t, kappa, n, ds, seed,
+                          launch_box=launch_box, stream=stream)
     rhs = variance_integral(vmap)
     stderr = variance_integral_stderr(vmap)
     ratio = lhs / rhs if rhs != 0.0 else float("nan")

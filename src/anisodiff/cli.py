@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (exponent_report, exponent_report_csv, fdr_check,
-                       figure1_curve, figure2_surface, fit_decay, sweep_and_fit)
+from .analysis import (check_checkpoint, exponent_report, exponent_report_csv,
+                       fdr_check, figure1_curve, figure2_surface, fit_decay,
+                       sweep_and_fit)
 from .config import DEFAULTS, RunConfig, build_config, load_config
 from .errors import (AnisodiffError, ConfigError, FitWindowError,
                      InstabilityError, InsufficientDecayError, SweepError)
@@ -127,6 +128,8 @@ def cmd_fdr(cfg: RunConfig, outdir: Path) -> None:
     t0 = time.perf_counter()
     par = cfg.doc["particles"]
     times = sorted(float(t) for t in par["times"])
+    for t in times:
+        check_checkpoint(t, cfg.solver.dt)
     rho0 = cfg.initial_field()
     launch = cfg.launch_box()
     rows = ["t,lhs,rhs,ratio"]

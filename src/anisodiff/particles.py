@@ -9,7 +9,8 @@ with positions wrapped into the periodic box after every step.  The drift
 sign is negated relative to the forward flow so that integrating the
 backward process forward in its own time variable realizes the stochastic
 representation of the drift-diffusion equation; literal_signs=True flips
-it back for side-by-side comparison.
+it back for side-by-side comparison.  One kernel, _em_step, performs this
+update for both sde_step and feynman_kac; each caller scales its own noise.
 
 Randomness is counter-based: each launch point owns a Philox substream
 keyed by (seed, stream, flat point index), so results are bit-identical
@@ -31,6 +32,26 @@ _POINT_CHUNK = 32  # launch points vectorized together per batch
 def _substream(seed: int, stream: int, index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream), int(index)))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _em_step(box: DomainBox, velocity: VelocityField, x, y, ds: float, sign: float,
+             noise_x=None, noise_y=None):
+    """Euler-Maruyama update: drift sign * u * ds, plus the caller's noise, wrapped.
+
+    With neither drift (zero field) nor noise the positions are returned
+    as given: wrapping would change the last bits of the cell centres of a
+    box whose width is not a power of two.
+    """
+    if not velocity.is_zero:
+        ux, uy = velocity.velocity(x, y)
+        x = x + sign * ux * ds
+        y = y + sign * uy * ds
+    if noise_x is not None:
+        x = x + noise_x
+        y = y + noise_y
+    elif velocity.is_zero:
+        return x, y
+    return box.wrap_x(x), box.wrap_y(y)
 
 
 @dataclass
@@ -98,17 +119,11 @@ def sde_step(ens: ParticleEnsemble, velocity: VelocityField, ds: float,
         dW = np.sqrt(ds) * ens.rng.standard_normal((2, ens.n))
     elif dW.shape != (2, ens.n):
         raise ConfigError(f"particles.dW: expected shape (2, {ens.n}), got {dW.shape}")
-    sign = 1.0 if literal_signs else -1.0
     sig = np.sqrt(2.0 * ens.kappa)
-    if velocity.is_zero:
-        nx = ens.x + sig * dW[0]
-        ny = ens.y + sig * dW[1]
-    else:
-        ux, uy = velocity.velocity(ens.x, ens.y)
-        nx = ens.x + sign * ux * ds + sig * dW[0]
-        ny = ens.y + sign * uy * ds + sig * dW[1]
-    return replace(ens, x=ens.box.wrap_x(nx), y=ens.box.wrap_y(ny),
-                   elapsed=ens.elapsed + ds, x0=ens.x0, y0=ens.y0, rng=ens.rng)
+    x, y = _em_step(ens.box, velocity, ens.x, ens.y, ds, 1.0 if literal_signs else -1.0,
+                    sig * dW[0], sig * dW[1])
+    return replace(ens, x=x, y=y, elapsed=ens.elapsed + ds,
+                   x0=ens.x0, y0=ens.y0, rng=ens.rng)
 
 
 @dataclass
@@ -175,7 +190,6 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     m = max(1, int(round(t / ds)))
     ds_eff = t / m
     sig = np.sqrt(2.0 * kappa * ds_eff)
-    advective = not velocity.is_zero
     sign = 1.0 if literal_signs else -1.0
 
     xc = box.x_centers()
@@ -191,10 +205,7 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
         # exactly zero and one trajectory per point suffices
         x, y = box.grid()
         for _ in range(m):
-            if advective:
-                ux, uy = velocity.velocity(x, y)
-                x = box.wrap_x(x + sign * ux * ds_eff)
-                y = box.wrap_y(y + sign * uy * ds_eff)
+            x, y = _em_step(box, velocity, x, y, ds_eff, sign)
         w = sample_many(rho0, x, y)
         zeros = np.zeros_like(w)
         mean_field = ScalarField(box, w)
@@ -212,15 +223,7 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
         for _ in range(m):
             for row, g in enumerate(gens):
                 z[row] = g.standard_normal((2, n))
-            if advective:
-                ux, uy = velocity.velocity(x, y)
-                x = x + sign * ux * ds_eff + sig * z[:, 0]
-                y = y + sign * uy * ds_eff + sig * z[:, 1]
-            else:
-                x = x + sig * z[:, 0]
-                y = y + sig * z[:, 1]
-            x = box.wrap_x(x)
-            y = box.wrap_y(y)
+            x, y = _em_step(box, velocity, x, y, ds_eff, sign, sig * z[:, 0], sig * z[:, 1])
         w = sample_many(rho0, x, y)
         mu = w.mean(axis=1)
         m2c = w.var(axis=1)                      # biased central second moment

@@ -241,6 +241,13 @@ class TestFdrCheck:
         assert res.rhs == 0.0
         assert np.isnan(res.ratio)
 
+    def test_checkpoint_off_solver_grid_rejected(self, box64):
+        # t = 1.0 is 333.33 steps of 3e-3: the PDE side would stop at 0.999
+        rho = fourier_mode(box64, 1, 1)
+        with pytest.raises(ConfigError, match="whole number of solver steps"):
+            fdr_check(rho, VelocityField.zero(), kappa=0.05, t=1.0, dt=3e-3,
+                      n=100, ds=0.01, seed=3)
+
     def test_diffusion_only_ratio_near_half(self, box64):
         # analytic: rhs = ||rho0||^2 - ||rho(t)||^2 = 2 lhs for u = 0
         rho = fourier_mode(box64, 1, 1)

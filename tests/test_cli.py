@@ -94,6 +94,21 @@ class TestPde:
         assert main(["pde", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_energy_growth_exits_3(self, tmp_path, monkeypatch):
+        from anisodiff import solver as solver_mod
+
+        class Growing:  # 1.01x per step: below the one-step breaker
+            def step_values(self, f):
+                return 1.01 * f.values
+
+        monkeypatch.setattr(solver_mod, "_make_stepper", lambda *a: Growing())
+        # 200 steps stay below the 100x total-growth breaker
+        doc = dict(HEAT_CONFIG, solver=dict(HEAT_CONFIG["solver"], t_end=0.2))
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "grow"
+        assert main(["pde", "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_unknown_field_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"solver": {"velocity": 3}})
         assert main(["pde", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -177,6 +192,15 @@ class TestFdr:
         assert np.all(rows[:, 2] > 0)
         assert np.all(np.isfinite(rows[:, 3])) and np.all(rows[:, 3] > 0)
         assert (out / "fdr_stderr.txt").exists()
+
+    def test_checkpoint_off_solver_grid_exits_2(self, tmp_path):
+        doc = self.make_doc(0.05)
+        doc["solver"]["dt"] = 3e-3
+        doc["particles"]["times"] = [1.0]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "offgrid"
+        assert main(["fdr", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_monte_carlo_blowup_exits_3(self, tmp_path, monkeypatch):
         from anisodiff import cli as cli_mod

@@ -3,10 +3,11 @@ import pytest
 
 from anisodiff.domain import AnisotropyParams, DomainBox, VelocityField, make_velocity
 from anisodiff.errors import ConfigError
-from anisodiff.fields import fourier_mode, sample_many
-from anisodiff.particles import (feynman_kac, make_ensemble, sde_step,
-                                 variance_integral, variance_integral_stderr,
-                                 VarianceMap)
+from anisodiff.fields import fourier_mode, random_fourier_sum, sample_many
+from anisodiff import particles
+from anisodiff.particles import (ParticleEnsemble, _substream, feynman_kac,
+                                 make_ensemble, sde_step, variance_integral,
+                                 variance_integral_stderr, VarianceMap)
 from anisodiff.solver import SolverConfig, run
 
 MODE_EIGENVALUE = 2.0 * np.pi ** 2
@@ -205,6 +206,45 @@ class TestFeynmanKac:
                                  n=n, ds=0.01, seed=41, launch_box=launch)
         reconstructed = (vmap.second_moment - mean.values ** 2) * n / (n - 1)
         assert np.allclose(vmap.values, reconstructed, rtol=1e-9, atol=1e-12)
+
+
+class TestSingleKernel:
+    """sde_step and feynman_kac advance particles through one Euler-Maruyama kernel."""
+
+    @pytest.fixture
+    def stream_case(self, box64, params23):
+        rho = random_fourier_sum(box64, 3, seed=5)
+        vel = make_velocity(params23, 0.5, 1e-3)
+        launch = DomainBox(1.0, 1.0, 8, 10)
+        return rho, vel, launch
+
+    @pytest.mark.parametrize("chunk", [1, 5, 32, 1000])
+    def test_feynman_kac_batching_invariant(self, stream_case, monkeypatch, chunk):
+        rho, vel, launch = stream_case
+        args = dict(t=0.2, kappa=0.05, n=60, ds=0.02, seed=17, launch_box=launch,
+                    stream=3)
+        ref_mean, ref_var = feynman_kac(rho, vel, **args)
+        monkeypatch.setattr(particles, "_POINT_CHUNK", chunk)
+        mean, vmap = feynman_kac(rho, vel, **args)
+        assert np.array_equal(mean.values, ref_mean.values)
+        assert np.array_equal(vmap.values, ref_var.values)
+        assert np.array_equal(vmap.second_moment, ref_var.second_moment)
+        assert np.array_equal(vmap.var_of_var, ref_var.var_of_var)
+
+    @pytest.mark.parametrize("k", [0, 37, 79])
+    def test_sde_step_reproduces_feynman_kac_point(self, stream_case, k):
+        rho, vel, launch = stream_case
+        t, kappa, n, m, seed, stream = 0.2, 0.05, 400, 10, 23, 1
+        mean, vmap = feynman_kac(rho, vel, t, kappa, n, t / m, seed,
+                                 launch_box=launch, stream=stream)
+        i, j = divmod(k, launch.ny)
+        ens = ParticleEnsemble(box=launch, x=np.full(n, launch.x_centers()[i]),
+                               y=np.full(n, launch.y_centers()[j]), kappa=kappa,
+                               rng_seed=seed, rng=_substream(seed, stream, k))
+        ens = evolve(ens, vel, t, m)
+        w = sample_many(rho, ens.x, ens.y)
+        assert abs(w.mean() - mean.values[i, j]) <= 1e-12
+        assert abs(w.var(ddof=1) - vmap.values[i, j]) <= 1e-12
 
 
 class TestVarianceIntegral:

@@ -5,7 +5,8 @@ from anisodiff.domain import (AnisotropyParams, DomainBox, VelocityField,
                               make_velocity)
 from anisodiff.errors import ConfigError, InstabilityError
 from anisodiff.fields import (ScalarField, fourier_mode, l2_norm_sq,
-                              mean_zero_project, random_fourier_sum)
+                              mean_zero_project, random_fourier_sum, sample_many)
+from anisodiff import solver as solver_mod
 from anisodiff.solver import (DecaySeries, SolverConfig, check_cfl, run, step)
 
 MODE_EIGENVALUE = 2.0 * np.pi ** 2  # |k|^2 of sin(pi x) sin(pi y) on [-1,1)^2
@@ -118,6 +119,37 @@ class TestSemiLagrangianAdvection:
         loss = 1.0 - series.norms_sq[-1] / series.norms_sq[0]
         print(f"\nadvection-only norm loss over t=1: {loss * 100:.2f}%")
         assert loss < 0.02
+
+
+class TestSemiLagrangianStep:
+    """solver.step follows the documented midpoint rule bit for bit."""
+
+    @staticmethod
+    def reference_step(f, vel, kappa, dt):
+        box = f.box
+        xg, yg = box.grid()
+        ux, uy = vel.velocity(xg, yg)
+        xm = box.wrap_x(xg - 0.5 * dt * ux)
+        ym = box.wrap_y(yg - 0.5 * dt * uy)
+        uxm, uym = vel.velocity(xm, ym)
+        vals = sample_many(f, box.wrap_x(xg - dt * uxm), box.wrap_y(yg - dt * uym))
+        kx = 2.0 * np.pi * np.fft.fftfreq(box.nx, d=box.hx)
+        ky = 2.0 * np.pi * np.fft.rfftfreq(box.ny, d=box.hy)
+        a = 0.5 * kappa * dt * (kx[:, None] ** 2 + ky[None, :] ** 2)
+        vh = np.fft.rfft2(vals)
+        vh *= (1.0 - a) / (1.0 + a)
+        return mean_zero_project(ScalarField(box, np.fft.irfft2(vh, s=vals.shape)))
+
+    @pytest.mark.parametrize("box", [DomainBox(1.0, 1.0, 64, 64),
+                                     DomainBox(0.7, 0.7, 24, 24)],
+                             ids=["64sq", "nondyadic24"])
+    def test_stream_step_matches_midpoint_rule(self, box, params23):
+        rho = random_fourier_sum(box, 3, seed=4)
+        vel = make_velocity(params23, 1.0, 1e-3)
+        cfg = SolverConfig(kappa=0.01, dt=0.05, t_end=1.0)
+        out = step(rho, vel, cfg)
+        ref = self.reference_step(rho, vel, cfg.kappa, cfg.dt)
+        assert np.array_equal(out.values, ref.values)
 
 
 class TestRun:
@@ -258,6 +290,24 @@ class TestInstability:
         with pytest.raises(InstabilityError) as err:
             run(rho, vel, cfg)
         assert err.value.time is not None and err.value.time > 0
+
+
+class GrowingStepper:
+    """Multiplies the field by 1.01 per step: below the one-step breaker."""
+
+    def step_values(self, f):
+        return 1.01 * f.values
+
+
+class TestEnergyGrowth:
+    """A rising energy series is a numerical failure, not a config error."""
+
+    def test_run_raises_instability(self, box64, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_make_stepper", lambda *a: GrowingStepper())
+        cfg = SolverConfig(kappa=0.01, dt=0.01, t_end=0.5, record_every=5)
+        with pytest.raises(InstabilityError) as err:
+            run(fourier_mode(box64, 1, 1), VelocityField.zero(), cfg)
+        assert err.value.time == pytest.approx(0.05)
 
 
 class TestDecaySeries:
