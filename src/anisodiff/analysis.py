@@ -25,6 +25,7 @@ from scipy import stats
 from .domain import AnisotropyParams, VelocityField
 from .errors import ConfigError, FitWindowError, InsufficientDecayError, SweepError
 from .fields import ScalarField
+from .manifest import csv_text
 from .particles import feynman_kac, variance_integral, variance_integral_stderr
 from .solver import DecaySeries, SolverConfig, run
 
@@ -124,12 +125,18 @@ class DecayFit:
             raise ConfigError(f"fit.r_squared: must lie in [0, 1], got {self.r_squared}")
 
 
+def check_window(window, name: str = "fit.window") -> tuple[float, float]:
+    """Validate a fit window (lo, hi) of energy fractions: 0 < lo < hi < 1."""
+    lo, hi = window
+    if not (0.0 < lo < hi < 1.0):
+        raise ConfigError(f"{name}: need 0 < lo < hi < 1, got ({lo}, {hi})")
+    return lo, hi
+
+
 def fit_decay(series: DecaySeries,
               window: tuple[float, float] = DEFAULT_FIT_WINDOW) -> DecayFit:
     """Least-squares line through (t, ln ||rho||^2) inside the fit window."""
-    lo, hi = window
-    if not (0.0 < lo < hi < 1.0):
-        raise ConfigError(f"fit.window: need 0 < lo < hi < 1, got ({lo}, {hi})")
+    lo, hi = check_window(window)
     norms = series.norms_sq
     if norms[0] <= 0:
         raise InsufficientDecayError("fit: series starts at zero energy")
@@ -186,22 +193,30 @@ class ExponentFit:
     def __post_init__(self):
         self.kappas = np.asarray(self.kappas, dtype=float)
         self.rates = np.asarray(self.rates, dtype=float)
+        self.rate_stderrs = np.asarray(self.rate_stderrs, dtype=float)
+        self.fit_r2s = np.asarray(self.fit_r2s, dtype=float)
         if self.kappas.size != self.rates.size or self.kappas.size < 4:
             raise ConfigError("exponent fit: need >= 4 matched (kappa, rate) pairs")
         if np.any(np.diff(self.kappas) <= 0):
             raise ConfigError("exponent fit: kappas must be strictly increasing")
 
     def to_csv(self) -> str:
-        lines = ["kappa,rate,rate_stderr,fit_r2"]
-        for k, r, s, r2 in zip(self.kappas, self.rates, self.rate_stderrs, self.fit_r2s):
-            lines.append(f"{float(k)!r},{float(r)!r},{float(s)!r},{float(r2)!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text("kappa,rate,rate_stderr,fit_r2",
+                        zip(self.kappas, self.rates, self.rate_stderrs, self.fit_r2s))
 
 
 def _sweep_one(args):
     rho0, velocity, cfg, grad_backend, window = args
     series = run(rho0, velocity, cfg, grad_backend=grad_backend)
     return fit_decay(series, window)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the exception it raised (sweep failures are per kappa)."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - reported per kappa by sweep_and_fit
+        return exc
 
 
 def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
@@ -212,8 +227,9 @@ def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
     """Run the solver once per kappa, fit each decay, regress the rates.
 
     Runs are independent; with n_jobs > 1 they execute in separate
-    processes and are merged by kappa index.  Individual fit failures are
-    tolerated up to half the sweep, then a SweepError carries the causes.
+    processes, at most one per kappa, and are merged by kappa index.
+    Individual fit failures are tolerated up to half the sweep, then a
+    SweepError carries the causes.
 
     dts / t_ends, when given, override base_cfg per kappa (one entry per
     kappa).  Fast decays need finer sampling, slow ones run much cheaper
@@ -239,21 +255,12 @@ def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
     jobs = [(rho0, velocity, replace(base_cfg, kappa=k, dt=float(dt), t_end=float(te)),
              grad_backend, window)
             for k, dt, te in zip(kappas, dts, t_ends)]
-    results: list[DecayFit | Exception] = []
     if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs))) as pool:
             futures = [pool.submit(_sweep_one, j) for j in jobs]
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - re-raised below per kappa
-                    results.append(exc)
+            results = [_outcome(fut.result) for fut in futures]
     else:
-        for j in jobs:
-            try:
-                results.append(_sweep_one(j))
-            except Exception as exc:  # noqa: BLE001
-                results.append(exc)
+        results = [_outcome(_sweep_one, j) for j in jobs]
 
     failures = {k: r for k, r in zip(kappas, results) if isinstance(r, Exception)}
     if failures:
@@ -329,15 +336,12 @@ def _fmt_exponent(value) -> str:
 def exponent_report_csv(params: AnisotropyParams,
                         fit: ExponentFit | None = None) -> str:
     """One-row CSV companion of exponent_report."""
-    theo = float(theoretical_exponent(float(params.p), float(params.q)))
-    alt = float(figure1_exponent(float(params.p), float(params.q)))
-    slope = float(fit.slope) if fit is not None else float("nan")
-    ci = float(fit.ci95) if fit is not None else float("nan")
-    r2 = float(fit.loglog_r2) if fit is not None else float("nan")
-    header = "p,q,theoretical_exponent,figure_exponent,slope,ci95,loglog_r2"
-    row = ",".join(repr(v) for v in
-                   (float(params.p), float(params.q), theo, alt, slope, ci, r2))
-    return f"{header}\n{row}\n"
+    p, q = float(params.p), float(params.q)
+    fitted = ((fit.slope, fit.ci95, fit.loglog_r2) if fit is not None
+              else (float("nan"),) * 3)
+    return csv_text("p,q,theoretical_exponent,figure_exponent,slope,ci95,loglog_r2",
+                    [(p, q, theoretical_exponent(p, q), figure1_exponent(p, q),
+                      *map(float, fitted))])
 
 
 def exponent_report(params: AnisotropyParams, fit: ExponentFit | None = None) -> str:

@@ -1,8 +1,9 @@
 """Run configuration: one nested JSON document, flag overrides on top.
 
-Every numeric field is validated against the owning module's constructor
-at load time, so an invalid config is rejected with the offending field
-named before any compute or file output happens.
+Every field is validated at load time, against the owning module's
+constructor or with the check the module applies later (sweep window and
+jobs, fdr checkpoints), so an invalid config is rejected with the
+offending field named before any compute or file output happens.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .analysis import check_checkpoint, check_window
 from .domain import AnisotropyParams, DomainBox, VelocityField, make_velocity
 from .errors import ConfigError
 from .fields import ScalarField, fourier_mode, fourier_sum, random_fourier_sum
@@ -129,39 +131,47 @@ def build_config(doc: dict) -> RunConfig:
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: must be one of {EXPERIMENTS}, got {experiment!r}")
-    dom = doc["domain"]
+    dom, sol, par, sweep = doc["domain"], doc["solver"], doc["particles"], doc["sweep"]
+    if sol["grad_backend"] not in ("difference", "spectral"):
+        raise ConfigError(
+            f"solver.grad_backend: must be 'difference' or 'spectral', "
+            f"got {sol['grad_backend']!r}")
     try:
         params = AnisotropyParams(p=dom["p"], q=dom["q"],
                                   alpha=dom["alpha"], beta=dom["beta"])
         box = DomainBox(half_width_x=float(dom["Lx"]), half_width_y=float(dom["Ly"]),
                         nx=int(dom["nx"]), ny=int(dom["ny"]))
         velocity = _build_velocity(dom, params)
-        sol = doc["solver"]
         solver = SolverConfig(kappa=float(sol["kappa"]), dt=float(sol["dt"]),
                               t_end=float(sol["t_end"]), scheme=sol["scheme"],
                               record_every=int(sol["record_every"]))
+        for field, lo in (("n", 2), ("grid_nx", 8), ("grid_ny", 8)):
+            if int(par[field]) < lo:
+                raise ConfigError(f"particles.{field}: must be >= {lo}, got {par[field]}")
+        for field in ("ds", "t"):
+            if float(par[field]) <= 0:
+                raise ConfigError(f"particles.{field}: must be > 0, got {par[field]}")
+        if experiment == "fdr":
+            times = [float(t) for t in par["times"]]
+            if not times:
+                raise ConfigError("particles.times: fdr needs at least one checkpoint")
+            for t in times:
+                check_checkpoint(t, solver.dt)
+            if float(par["ds"]) > min(times):
+                raise ConfigError(f"particles.ds: must not exceed the earliest "
+                                  f"checkpoint {min(times)}, got {par['ds']}")
+        ks = sweep["kappas"]
+        if len(ks) < 4 or any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ConfigError("sweep.kappas: need >= 4 strictly increasing values")
+        for name in ("dts", "t_ends"):
+            if sweep[name] is not None and len(sweep[name]) != len(ks):
+                raise ConfigError(f"sweep.{name}: must match sweep.kappas in length")
+        check_window(sweep["window"], "sweep.window")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: malformed numeric field ({exc})") from exc
-    if sol["grad_backend"] not in ("difference", "spectral"):
-        raise ConfigError(
-            f"solver.grad_backend: must be 'difference' or 'spectral', "
-            f"got {sol['grad_backend']!r}")
-    par = doc["particles"]
-    for field, lo in (("n", 2), ("grid_nx", 8), ("grid_ny", 8)):
-        if int(par[field]) < lo:
-            raise ConfigError(f"particles.{field}: must be >= {lo}, got {par[field]}")
-    for field in ("ds", "t"):
-        if float(par[field]) <= 0:
-            raise ConfigError(f"particles.{field}: must be > 0, got {par[field]}")
-    if experiment == "fdr" and not par["times"]:
-        raise ConfigError("particles.times: fdr needs at least one checkpoint")
-    sweep = doc["sweep"]
-    ks = sweep["kappas"]
-    if len(ks) < 4 or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ConfigError("sweep.kappas: need >= 4 strictly increasing values")
-    for name in ("dts", "t_ends"):
-        if sweep[name] is not None and len(sweep[name]) != len(ks):
-            raise ConfigError(f"sweep.{name}: must match sweep.kappas in length")
+    jobs = sweep["jobs"]
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"sweep.jobs: must be an integer >= 1, got {jobs!r}")
     return RunConfig(experiment=experiment, doc=doc, params=params, box=box,
                      velocity=velocity, solver=solver)
 

@@ -7,13 +7,13 @@ derivatives (the reference used for cross-validation).
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .domain import DomainBox
 from .errors import ConfigError
+from .manifest import csv_text
 
 MEAN_ZERO_TOL = 1e-12
 
@@ -184,12 +184,9 @@ def sample(f: ScalarField, x: float, y: float) -> float:
 
 def to_csv(f: ScalarField) -> str:
     """Grid CSV: header row nx,ny,Lx,Ly, then one row-major value per line."""
-    buf = io.StringIO()
-    buf.write("nx,ny,Lx,Ly\n")
-    buf.write(f"{f.box.nx},{f.box.ny},{f.box.half_width_x!r},{f.box.half_width_y!r}\n")
-    for v in f.values.reshape(-1):
-        buf.write(f"{float(v)!r}\n")
-    return buf.getvalue()
+    box = f.box
+    return csv_text("nx,ny,Lx,Ly", [(box.nx, box.ny, box.half_width_x, box.half_width_y),
+                                    *f.values.reshape(-1, 1)])
 
 
 def from_csv(text: str) -> ScalarField:

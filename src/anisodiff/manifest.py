@@ -1,13 +1,29 @@
-"""Run manifests: config echo, artifact checksums, reproducibility record."""
+"""Run output: the one CSV format, the artifact writer, run manifests.
+
+Every CSV artifact is built by `csv_text`; every file of a run is written
+by one `ArtifactWriter`, whose manifest echoes the config and seeds and
+lists each artifact's checksum.
+"""
 from __future__ import annotations
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 
 MANIFEST_NAME = "manifest.json"
+
+
+def csv_text(header: str, rows) -> str:
+    """Header line, then one line per row.  Integer cells print with str,
+    all others as repr(float(v)): exact round trip, never numpy's repr."""
+    lines = [header]
+    lines += [",".join(str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def sha256_file(path: Path) -> str:

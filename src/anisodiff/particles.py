@@ -24,7 +24,7 @@ import numpy as np
 
 from .domain import DomainBox, VelocityField
 from .errors import ConfigError
-from .fields import ScalarField, sample_many
+from .fields import ScalarField, sample_many, to_csv
 
 _POINT_CHUNK = 32  # launch points vectorized together per batch
 
@@ -150,7 +150,6 @@ class VarianceMap:
 
     def to_csv(self) -> str:
         """Same grid CSV layout as a scalar-field snapshot."""
-        from .fields import to_csv
         return to_csv(ScalarField(self.box, self.values))
 
 

@@ -19,6 +19,7 @@ from .domain import DomainBox, VelocityField
 from .errors import ConfigError, InstabilityError
 from .fields import (ScalarField, _wavenumbers, grad_norm_sq, l2_norm_sq,
                      mean_zero_project, sample_many)
+from .manifest import csv_text
 
 SCHEME_SL_CN = "sl_cn"
 SCHEME_UPWIND = "upwind"
@@ -115,10 +116,8 @@ class DecaySeries:
                 )
 
     def to_csv(self) -> str:
-        lines = ["t,norm_sq,dissipation"]
-        for t, n, d in zip(self.times, self.norms_sq, self.dissipation):
-            lines.append(f"{float(t)!r},{float(n)!r},{float(d)!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text("t,norm_sq,dissipation",
+                        zip(self.times, self.norms_sq, self.dissipation))
 
 
 class _SemiLagrangianCN:

@@ -198,6 +198,34 @@ class TestSweepAndFit:
         assert np.array_equal(a.rates, b.rates)
         assert a.slope == b.slope
 
+    def test_pool_never_larger_than_sweep(self, monkeypatch):
+        from concurrent.futures import Future
+
+        from anisodiff import analysis
+
+        sizes = []
+
+        class InlinePool:  # records the pool size, runs each job in-process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, arg):
+                fut = Future()
+                fut.set_result(fn(arg))
+                return fut
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
+        box = DomainBox(1.0, 1.0, 32, 32)
+        fit = scale_invariant_sweep(box, [1e-3, 5e-3, 2e-2, 1e-1], n_jobs=64)
+        assert sizes == [4]
+        assert abs(fit.slope - 1.0) <= max(fit.ci95, 1e-6)
+
     def test_all_failing_aborts_with_causes(self):
         box = DomainBox(1.0, 1.0, 32, 32)
         rho = fourier_mode(box, 1, 1)
@@ -304,6 +332,7 @@ class TestExponentReport:
         assert lines[0] == ("p,q,theoretical_exponent,figure_exponent,"
                             "slope,ci95,loglog_r2")
         vals = lines[1].split(",")
+        assert vals[:2] == ["2.0", "3.0"]  # integer p, q still print as floats
         assert float(vals[2]) == pytest.approx(6 / 7, rel=1e-12)
         assert float(vals[3]) == pytest.approx(2 / 5, rel=1e-12)
         assert vals[4] == "nan"

@@ -1,12 +1,15 @@
 import json
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from anisodiff import analysis
 from anisodiff.analysis import figure1_curve, figure2_surface
 from anisodiff.cli import main
 from anisodiff.manifest import load_manifest, sha256_file
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -50,14 +53,6 @@ class TestFigures:
             assert r == figure2_surface(p, q)
         assert (out / "fig1.svg").exists()
         assert (out / "fig2.svg").exists()
-
-    def test_manifest_checksums(self, tmp_path):
-        out = tmp_path / "figs"
-        main(["figures", "--out", str(out)])
-        manifest = load_manifest(out / "manifest.json")
-        assert manifest["experiment"] == "figures"
-        for name, digest in manifest["artifacts"].items():
-            assert sha256_file(out / name) == digest
 
 
 class TestPde:
@@ -134,6 +129,12 @@ class TestPde:
                      "--set", "solver.nonsense=1"])
         assert code == 2
 
+    def test_malformed_particle_field_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, HEAT_CONFIG)
+        code = main(["pde", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--set", "particles.n=abc"])
+        assert code == 2
+
     def test_fourier_sum_initial_kind(self, tmp_path):
         doc = dict(HEAT_CONFIG)
         doc["initial"] = {"kind": "sum",
@@ -163,6 +164,19 @@ class TestSde:
         row = dict(zip(header, rows[0]))
         assert abs(row["var_dx"] - 0.02) < 3 * row["se_var"]
         assert abs(row["mean_dy"]) < 3 * row["se_mean"]
+
+
+def count_solver_runs(monkeypatch):
+    """Record every solver run started through analysis (sweeps, fdr)."""
+    calls = []
+    real = analysis.run
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run", spy)
+    return calls
 
 
 class TestFdr:
@@ -213,6 +227,19 @@ class TestFdr:
         monkeypatch.setattr(cli_mod, "fdr_check", broken)
         cfg = write_config(tmp_path, self.make_doc(0.05))
         assert main(["fdr", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+        assert not (tmp_path / "x").exists()
+
+    def test_ds_beyond_first_checkpoint_exits_2_before_compute(
+            self, tmp_path, monkeypatch, capsys):
+        calls = count_solver_runs(monkeypatch)
+        doc = self.make_doc(0.05)
+        doc["solver"]["dt"] = 0.002
+        doc["particles"].update(times=[0.004, 0.5], ds=0.005)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "early"
+        assert main(["fdr", "--config", cfg, "--out", str(out)]) == 2
+        assert "particles.ds" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
 
 SWEEP_DOC = {
@@ -248,6 +275,22 @@ class TestSweep:
                          "record_every": 1}
         cfg = write_config(tmp_path, doc)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+
+    def test_bad_window_exits_2_before_compute(self, tmp_path, monkeypatch):
+        calls = count_solver_runs(monkeypatch)
+        cfg = write_config(tmp_path, SWEEP_DOC)
+        out = tmp_path / "x"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--set", "sweep.window=[0.9,0.1]"]) == 2
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["abc", "0", "1.5"])
+    def test_bad_jobs_exits_2(self, tmp_path, jobs):
+        cfg = write_config(tmp_path, SWEEP_DOC)
+        out = tmp_path / "x"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--set", f"sweep.jobs={jobs}"]) == 2
+        assert not out.exists()
 
 
 class TestRerunAndDeterminism:
@@ -288,6 +331,19 @@ class TestRerunAndDeterminism:
         assert main(["rerun", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
         assert (out1 / "fdr.csv").read_bytes() == (out2 / "fdr.csv").read_bytes()
 
+    def test_manifest_experiment_must_match_config(self, tmp_path):
+        cfg = write_config(tmp_path, dict(HEAT_CONFIG, solver=dict(
+            HEAT_CONFIG["solver"], t_end=0.01)))
+        out1 = tmp_path / "r1"
+        assert main(["pde", "--config", cfg, "--out", str(out1)]) == 0
+        manifest = out1 / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["experiment"] = "sde"
+        manifest.write_text(json.dumps(payload))
+        out2 = tmp_path / "r2"
+        assert main(["rerun", str(manifest), "--out", str(out2)]) == 2
+        assert not out2.exists()
+
 
 class TestOutputHandling:
     def test_env_var_output_root(self, tmp_path, monkeypatch):
@@ -308,3 +364,41 @@ class TestOutputHandling:
         main(["pde", "--config", cfg, "--out", str(tmp_path / "only_here")])
         after = {p.name for p in tmp_path.iterdir()}
         assert after - before == {"only_here"}
+
+
+def readme_artifacts() -> dict[str, set[str]]:
+    """command -> artifact file names, from the README's artifact table."""
+    table = {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0] in MANIFEST_CASES:
+            table[cells[0]] = set(cells[1].split(", "))
+    return table
+
+
+MANIFEST_CASES = {
+    "figures": None,
+    "pde": dict(HEAT_CONFIG, solver=dict(HEAT_CONFIG["solver"], t_end=0.1)),
+    "sde": {"experiment": "sde", "domain": {"family": "zero", "nx": 32, "ny": 32},
+            "particles": {"n": 100, "ds": 0.01, "t": 0.1, "seed": 7}},
+    "fdr": dict(TestFdr().make_doc(0.05), particles={
+        "n": 50, "ds": 0.0125, "seed": 5, "times": [0.25],
+        "grid_nx": 8, "grid_ny": 8}),
+    "sweep": SWEEP_DOC,
+}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", sorted(MANIFEST_CASES))
+    def test_manifest_checksums(self, tmp_path, command):
+        out = tmp_path / command
+        argv = [command, "--out", str(out)]
+        if MANIFEST_CASES[command] is not None:
+            argv += ["--config", write_config(tmp_path, MANIFEST_CASES[command])]
+        assert main(argv) == 0
+        manifest = load_manifest(out / "manifest.json")
+        assert manifest["experiment"] == command
+        assert set(manifest["artifacts"]) == readme_artifacts()[command]
+        assert {p.name for p in out.iterdir()} == {*manifest["artifacts"], "manifest.json"}
+        for name, digest in manifest["artifacts"].items():
+            assert sha256_file(out / name) == digest
