@@ -33,8 +33,18 @@ DEFAULT_SWEEP_KAPPAS = (1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1)
 DEFAULT_FIT_WINDOW = (0.1, 0.9)
 
 
-def _exact_ok(*vals) -> bool:
-    return all(isinstance(v, Rational) and not isinstance(v, bool) for v in vals)
+def _exponent(name: str, formula, p, q):
+    """formula(p, q) from an AnisotropyParams or two exponents > 0, in
+    Fractions when both are rational, else in floats."""
+    if isinstance(p, AnisotropyParams):
+        if q is not None:
+            raise ConfigError(f"{name}: pass params or (p, q), not both")
+        p, q = p.p, p.q
+    if p <= 0 or q <= 0:
+        raise ConfigError(f"exponent: p and q must be > 0, got ({p}, {q})")
+    if all(isinstance(v, Rational) and not isinstance(v, bool) for v in (p, q)):
+        return formula(Fraction(p), Fraction(q))
+    return formula(float(p), float(q))
 
 
 def theoretical_exponent(p, q=None):
@@ -44,15 +54,7 @@ def theoretical_exponent(p, q=None):
     Fraction inputs are evaluated in exact rational arithmetic and return
     a Fraction; floats return a float.
     """
-    if isinstance(p, AnisotropyParams):
-        if q is not None:
-            raise ConfigError("theoretical_exponent: pass params or (p, q), not both")
-        p, q = p.p, p.q
-    if p <= 0 or q <= 0:
-        raise ConfigError(f"exponent: p and q must be > 0, got ({p}, {q})")
-    if _exact_ok(p, q):
-        return Fraction(p) * Fraction(q) / (Fraction(p) + Fraction(q) + 2)
-    return float(p) * float(q) / (float(p) + float(q) + 2.0)
+    return _exponent("theoretical_exponent", lambda p, q: p * q / (p + q + 2), p, q)
 
 
 def figure1_exponent(p, q=None):
@@ -60,15 +62,7 @@ def figure1_exponent(p, q=None):
 
     Differs from theoretical_exponent for all p, q > 0; see exponent_report.
     """
-    if isinstance(p, AnisotropyParams):
-        if q is not None:
-            raise ConfigError("figure1_exponent: pass params or (p, q), not both")
-        p, q = p.p, p.q
-    if p <= 0 or q <= 0:
-        raise ConfigError(f"exponent: p and q must be > 0, got ({p}, {q})")
-    if _exact_ok(p, q):
-        return Fraction(p) / (Fraction(p) + Fraction(q))
-    return float(p) / (float(p) + float(q))
+    return _exponent("figure1_exponent", lambda p, q: p / (p + q), p, q)
 
 
 # (prefactor, exponent) of the three fixed figure-1 curves; the exponents
@@ -131,6 +125,28 @@ def check_window(window, name: str = "fit.window") -> tuple[float, float]:
     if not (0.0 < lo < hi < 1.0):
         raise ConfigError(f"{name}: need 0 < lo < hi < 1, got ({lo}, {hi})")
     return lo, hi
+
+
+def check_sweep(kappas, dts=None, t_ends=None):
+    """(kappas, dts, t_ends) as floats: >= 4 strictly increasing kappas > 0
+    spanning a decade, and each ladder None or one entry per kappa."""
+    kappas = [float(k) for k in kappas]
+    if len(kappas) < 4:
+        raise ConfigError(f"sweep.kappas: need >= 4 values, got {len(kappas)}")
+    if any(k2 <= k1 for k1, k2 in zip(kappas, kappas[1:])):
+        raise ConfigError("sweep.kappas: must be strictly increasing")
+    if not kappas[0] > 0.0:
+        raise ConfigError(f"sweep.kappas: must be > 0, got {kappas[0]}")
+    if kappas[-1] / kappas[0] < 10.0:
+        raise ConfigError("sweep.kappas: must span at least one decade")
+    ladders = []
+    for name, ladder in (("dts", dts), ("t_ends", t_ends)):
+        if ladder is not None:
+            ladder = [float(v) for v in ladder]
+            if len(ladder) != len(kappas):
+                raise ConfigError(f"sweep.{name}: must match sweep.kappas in length")
+        ladders.append(ladder)
+    return (kappas, *ladders)
 
 
 def fit_decay(series: DecaySeries,
@@ -236,21 +252,13 @@ def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
     and less dissipatively with a coarse step, so a ladder is the usual
     way to drive a multi-decade sweep.
     """
-    kappas = [float(k) for k in kappas]
-    if len(kappas) < 4:
-        raise ConfigError(f"sweep.kappas: need >= 4 values, got {len(kappas)}")
-    if any(k2 <= k1 for k1, k2 in zip(kappas, kappas[1:])):
-        raise ConfigError("sweep.kappas: must be strictly increasing")
-    if kappas[-1] / kappas[0] < 10.0:
-        raise ConfigError("sweep.kappas: must span at least one decade")
+    kappas, dts, t_ends = check_sweep(kappas, dts, t_ends)
     if params is None:
         params = velocity.params
     if dts is None:
         dts = [base_cfg.dt] * len(kappas)
     if t_ends is None:
         t_ends = [base_cfg.t_end] * len(kappas)
-    if len(dts) != len(kappas) or len(t_ends) != len(kappas):
-        raise ConfigError("sweep: dts and t_ends must match kappas in length")
 
     jobs = [(rho0, velocity, replace(base_cfg, kappa=k, dt=float(dt), t_end=float(te)),
              grad_backend, window)

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .analysis import (exponent_report, exponent_report_csv, fdr_check,
                        figure1_curve, figure2_surface, fit_decay, sweep_and_fit)
-from .config import RunConfig, build_config, load_config
+from .config import RunConfig, load_config
 from .errors import (AnisodiffError, ConfigError, FitWindowError,
                      InstabilityError, InsufficientDecayError)
 from .fields import to_csv as field_to_csv
@@ -55,9 +55,9 @@ def _seeds_of(cfg: RunConfig) -> list[int]:
         return []
     seeds = []
     if cfg.doc["initial"]["kind"] == "random":
-        seeds.append(int(cfg.doc["initial"]["seed"]))
+        seeds.append(cfg.doc["initial"]["seed"])
     if cfg.experiment in ("sde", "fdr"):
-        seeds.append(int(cfg.doc["particles"]["seed"]))
+        seeds.append(cfg.doc["particles"]["seed"])
     return seeds
 
 
@@ -95,12 +95,12 @@ def cmd_pde(cfg: RunConfig) -> dict[str, str]:
 
 def cmd_sde(cfg: RunConfig) -> dict[str, str]:
     par = cfg.doc["particles"]
-    n = int(par["n"])
+    n = par["n"]
     t = float(par["t"])
     m = max(1, int(round(t / float(par["ds"]))))
     ds = t / m
     ens = make_ensemble(cfg.box, n, float(par["x0"]), float(par["y0"]),
-                        kappa=cfg.solver.kappa, seed=int(par["seed"]))
+                        kappa=cfg.solver.kappa, seed=par["seed"])
     for _ in range(m):
         ens = sde_step(ens, cfg.velocity, ds)
     dx, dy = ens.displacement()
@@ -109,7 +109,7 @@ def cmd_sde(cfg: RunConfig) -> dict[str, str]:
     target = 2.0 * cfg.solver.kappa * t
     se_mean = np.sqrt(target / n) if target > 0 else 0.0
     se_var = target * np.sqrt(2.0 / (n - 1)) if target > 0 else 0.0
-    row = (n, float(cfg.solver.kappa), t, ds, int(par["seed"]), np.mean(dx), np.mean(dy),
+    row = (n, float(cfg.solver.kappa), t, ds, par["seed"], np.mean(dx), np.mean(dy),
            np.var(dx, ddof=1), np.var(dy, ddof=1), se_mean, se_var)
     return {"sde.csv": csv_text(
         "n,kappa,t,ds,seed,mean_dx,mean_dy,var_dx,var_dy,se_mean,se_var", [row])}
@@ -123,8 +123,8 @@ def cmd_fdr(cfg: RunConfig) -> dict[str, str]:
     results = []
     for idx, t in enumerate(times):
         res = fdr_check(rho0, cfg.velocity, cfg.solver.kappa, t,
-                        dt=cfg.solver.dt, n=int(par["n"]), ds=float(par["ds"]),
-                        seed=int(par["seed"]), record_every=cfg.solver.record_every,
+                        dt=cfg.solver.dt, n=par["n"], ds=float(par["ds"]),
+                        seed=par["seed"], record_every=cfg.solver.record_every,
                         launch_box=launch, stream=idx,
                         grad_backend=cfg.doc["solver"]["grad_backend"])
         if not (np.isfinite(res.lhs) and np.isfinite(res.rhs)):
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "rerun":
             payload = load_manifest(args.manifest)
-            cfg = build_config(payload["config"])
+            cfg = load_config(base=payload["config"])
             experiment, outdir = payload["experiment"], Path(args.out)
         else:
             base = {"experiment": args.command} if args.config is None else None

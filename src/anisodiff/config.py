@@ -1,18 +1,23 @@
 """Run configuration: one nested JSON document, flag overrides on top.
 
-Every field is validated at load time, against the owning module's
-constructor or with the check the module applies later (sweep window and
-jobs, fdr checkpoints), so an invalid config is rejected with the
-offending field named before any compute or file output happens.
+Every field of every section is validated at load time, whatever the
+command, against the owning module's constructor or with the check the
+module applies later (sweep kappas and window, fdr checkpoints), so an
+invalid config is rejected with the offending field named before any
+compute or file output happens.  Integer fields accept an int or a float
+with an integral value (1e4), nothing else.  The initial field is built
+during validation.  A rerun merges its manifest's config over the
+defaults exactly as a config file is merged.
 """
 from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import check_checkpoint, check_window
+from .analysis import check_checkpoint, check_sweep, check_window
 from .domain import AnisotropyParams, DomainBox, VelocityField, make_velocity
 from .errors import ConfigError
 from .fields import ScalarField, fourier_mode, fourier_sum, random_fourier_sum
@@ -46,6 +51,15 @@ DEFAULTS = {
         "grid_nx": 32, "grid_ny": 32,
     },
     "output": {"dir": None},
+}
+
+# every integer field, with its lower bound where no constructor checks one;
+# the mode numbers of initial.terms are integers too
+_INTEGER_FIELDS = {
+    "domain.nx": None, "domain.ny": None, "solver.record_every": None,
+    "initial.mx": None, "initial.my": None, "initial.max_mode": None, "initial.seed": 0,
+    "particles.n": 2, "particles.seed": 0, "particles.grid_nx": 8, "particles.grid_ny": 8,
+    "sweep.jobs": 1,
 }
 
 
@@ -92,25 +106,39 @@ class RunConfig:
     box: DomainBox
     velocity: VelocityField
     solver: SolverConfig
+    initial: ScalarField
 
-    def initial_field(self, box: DomainBox | None = None) -> ScalarField:
-        ini = self.doc["initial"]
-        box = box or self.box
-        if ini["kind"] == "mode":
-            return fourier_mode(box, int(ini["mx"]), int(ini["my"]),
-                                amplitude=float(ini["amplitude"]))
-        if ini["kind"] == "random":
-            return random_fourier_sum(box, int(ini["max_mode"]), int(ini["seed"]),
-                                      amplitude=float(ini["amplitude"]))
-        if ini["kind"] == "sum":
-            return fourier_sum(box, ini["terms"])
-        raise ConfigError(f"initial.kind: must be 'mode', 'random', or 'sum', "
-                          f"got {ini['kind']!r}")
+    def initial_field(self) -> ScalarField:
+        """The initial field, built once when the config was validated."""
+        return self.initial
 
     def launch_box(self) -> DomainBox:
         par = self.doc["particles"]
         return DomainBox(self.box.half_width_x, self.box.half_width_y,
-                         int(par["grid_nx"]), int(par["grid_ny"]))
+                         par["grid_nx"], par["grid_ny"])
+
+
+def _integer(value, name: str, lo: int | None = None) -> int:
+    """An int, or a float with an integral value (so 1e4 reads as 10000)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ConfigError(f"{name}: must be >= {lo}, got {value}")
+    return value
+
+
+def _build_initial(ini: dict, box: DomainBox) -> ScalarField:
+    if ini["kind"] == "mode":
+        return fourier_mode(box, ini["mx"], ini["my"], amplitude=float(ini["amplitude"]))
+    if ini["kind"] == "random":
+        return random_fourier_sum(box, ini["max_mode"], ini["seed"],
+                                  amplitude=float(ini["amplitude"]))
+    if ini["kind"] == "sum":
+        return fourier_sum(box, ini["terms"])
+    raise ConfigError(f"initial.kind: must be 'mode', 'random', or 'sum', "
+                      f"got {ini['kind']!r}")
 
 
 def _build_velocity(dom: dict, params: AnisotropyParams) -> VelocityField:
@@ -127,30 +155,43 @@ def _build_velocity(dom: dict, params: AnisotropyParams) -> VelocityField:
 
 
 def build_config(doc: dict) -> RunConfig:
-    """Validate a fully merged document into module objects."""
+    """Validate a fully merged document into module objects.
+
+    Integer fields are normalized in place (1e4 becomes 10000), and the
+    initial field is built here, once, so that a bad initial section is
+    rejected for every command.
+    """
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: must be one of {EXPERIMENTS}, got {experiment!r}")
-    dom, sol, par, sweep = doc["domain"], doc["solver"], doc["particles"], doc["sweep"]
+    dom, sol, ini = doc["domain"], doc["solver"], doc["initial"]
+    par, sweep = doc["particles"], doc["sweep"]
     if sol["grad_backend"] not in ("difference", "spectral"):
         raise ConfigError(
             f"solver.grad_backend: must be 'difference' or 'spectral', "
             f"got {sol['grad_backend']!r}")
     try:
+        for path, lo in _INTEGER_FIELDS.items():
+            section, field = path.split(".")
+            doc[section][field] = _integer(doc[section][field], path, lo)
+        ini["terms"] = [[_integer(mx, "initial.terms"), _integer(my, "initial.terms"),
+                         kind, float(amp)] for mx, my, kind, amp in ini["terms"]]
         params = AnisotropyParams(p=dom["p"], q=dom["q"],
                                   alpha=dom["alpha"], beta=dom["beta"])
         box = DomainBox(half_width_x=float(dom["Lx"]), half_width_y=float(dom["Ly"]),
-                        nx=int(dom["nx"]), ny=int(dom["ny"]))
+                        nx=dom["nx"], ny=dom["ny"])
         velocity = _build_velocity(dom, params)
         solver = SolverConfig(kappa=float(sol["kappa"]), dt=float(sol["dt"]),
                               t_end=float(sol["t_end"]), scheme=sol["scheme"],
-                              record_every=int(sol["record_every"]))
-        for field, lo in (("n", 2), ("grid_nx", 8), ("grid_ny", 8)):
-            if int(par[field]) < lo:
-                raise ConfigError(f"particles.{field}: must be >= {lo}, got {par[field]}")
+                              record_every=sol["record_every"])
+        for path in ("initial.amplitude", "particles.x0", "particles.y0"):
+            section, field = path.split(".")
+            if not math.isfinite(float(doc[section][field])):
+                raise ConfigError(f"{path}: must be finite, got {doc[section][field]}")
         for field in ("ds", "t"):
-            if float(par[field]) <= 0:
-                raise ConfigError(f"particles.{field}: must be > 0, got {par[field]}")
+            if not 0.0 < float(par[field]) < math.inf:
+                raise ConfigError(f"particles.{field}: must be > 0 and finite, "
+                                  f"got {par[field]}")
         if experiment == "fdr":
             times = [float(t) for t in par["times"]]
             if not times:
@@ -160,25 +201,22 @@ def build_config(doc: dict) -> RunConfig:
             if float(par["ds"]) > min(times):
                 raise ConfigError(f"particles.ds: must not exceed the earliest "
                                   f"checkpoint {min(times)}, got {par['ds']}")
-        ks = sweep["kappas"]
-        if len(ks) < 4 or any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ConfigError("sweep.kappas: need >= 4 strictly increasing values")
-        for name in ("dts", "t_ends"):
-            if sweep[name] is not None and len(sweep[name]) != len(ks):
-                raise ConfigError(f"sweep.{name}: must match sweep.kappas in length")
+        check_sweep(sweep["kappas"], sweep["dts"], sweep["t_ends"])
         check_window(sweep["window"], "sweep.window")
+        initial = _build_initial(ini, box)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: malformed numeric field ({exc})") from exc
-    jobs = sweep["jobs"]
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ConfigError(f"sweep.jobs: must be an integer >= 1, got {jobs!r}")
     return RunConfig(experiment=experiment, doc=doc, params=params, box=box,
-                     velocity=velocity, solver=solver)
+                     velocity=velocity, solver=solver, initial=initial)
 
 
 def load_config(path: str | Path | None = None, overrides=(),
                 base: dict | None = None) -> RunConfig:
-    """Merge defaults <- file <- --set overrides, then validate."""
+    """Merge defaults <- base <- file <- --set overrides, then validate.
+
+    base is a partial document merged like a file: `main` passes the
+    command name for a run, or a manifest's config for `rerun`.
+    """
     doc = copy.deepcopy(DEFAULTS)
     if base is not None:
         doc = _merge(doc, base)

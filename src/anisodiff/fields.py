@@ -45,9 +45,6 @@ class ScalarField:
                     f"{np.mean(self.values):.3e} (max |value| {scale:.3e})"
                 )
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.box, self.values.copy(), self.mean_zero)
-
 
 def fourier_mode(box: DomainBox, mx: int = 1, my: int = 1,
                  amplitude: float = 1.0) -> ScalarField:
@@ -60,12 +57,9 @@ def fourier_mode(box: DomainBox, mx: int = 1, my: int = 1,
     return mean_zero_project(ScalarField(box, vals))
 
 
-def fourier_sum(box: DomainBox, terms) -> ScalarField:
-    """Mean-zero finite Fourier sum.
-
-    terms: iterable of (mx, my, kind, amplitude) with kind one of
-    'ss', 'sc', 'cs', 'cc' selecting sin/cos per axis; mode numbers >= 1.
-    """
+def _trig_sum(box: DomainBox, terms) -> np.ndarray:
+    """Grid values of the sum over terms (mx, my, kind, amp) of
+    amp * b1(mx pi x / Lx) * b2(my pi y / Ly), kind naming b1 b2 from s/c."""
     xg, yg = box.grid()
     ax = np.pi * xg / box.half_width_x
     ay = np.pi * yg / box.half_width_y
@@ -78,7 +72,16 @@ def fourier_sum(box: DomainBox, terms) -> ScalarField:
         if len(kind) != 2 or any(k not in basis for k in kind):
             raise ConfigError(f"initial.terms: kind must be two of s/c, got {kind!r}")
         vals += amp * basis[kind[0]](mx * ax) * basis[kind[1]](my * ay)
-    return mean_zero_project(ScalarField(box, vals))
+    return vals
+
+
+def fourier_sum(box: DomainBox, terms) -> ScalarField:
+    """Mean-zero finite Fourier sum.
+
+    terms: iterable of (mx, my, kind, amplitude) with kind one of
+    'ss', 'sc', 'cs', 'cc' selecting sin/cos per axis; mode numbers >= 1.
+    """
+    return mean_zero_project(ScalarField(box, _trig_sum(box, terms)))
 
 
 def random_fourier_sum(box: DomainBox, max_mode: int = 3, seed: int = 0,
@@ -89,17 +92,12 @@ def random_fourier_sum(box: DomainBox, max_mode: int = 3, seed: int = 0,
     four sin/cos combinations, so the result has no special symmetry.
     """
     rng = np.random.default_rng(seed)
-    xg, yg = box.grid()
-    ax = np.pi * xg / box.half_width_x
-    ay = np.pi * yg / box.half_width_y
-    vals = np.zeros_like(xg)
+    terms = []
     for mx in range(1, max_mode + 1):
         for my in range(1, max_mode + 1):
             c = rng.standard_normal(4) / (mx * my)
-            vals += c[0] * np.sin(mx * ax) * np.sin(my * ay)
-            vals += c[1] * np.sin(mx * ax) * np.cos(my * ay)
-            vals += c[2] * np.cos(mx * ax) * np.sin(my * ay)
-            vals += c[3] * np.cos(mx * ax) * np.cos(my * ay)
+            terms += [(mx, my, kind, a) for kind, a in zip(("ss", "sc", "cs", "cc"), c)]
+    vals = _trig_sum(box, terms)
     vals *= amplitude / max(np.max(np.abs(vals)), 1e-300)
     return mean_zero_project(ScalarField(box, vals))
 

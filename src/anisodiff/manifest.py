@@ -74,4 +74,6 @@ def load_manifest(path: str | Path) -> dict:
     for key in ("experiment", "config", "artifacts"):
         if key not in payload:
             raise ConfigError(f"manifest: missing required key {key!r}")
+    if not isinstance(payload["config"], dict):
+        raise ConfigError("manifest: config must be a JSON object")
     return payload

@@ -176,6 +176,10 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     of size ~ds; rho0 is then bilinearly sampled at the endpoints.
     Returns the ensemble-mean field (the estimate of rho at time t) and
     the per-point variance map.
+
+    One loop serves every kappa.  At kappa = 0 the n trajectories from a
+    point coincide, so it follows one, noise-free, and its moments give
+    exactly zero variance and var_of_var, and second_moment = mean^2.
     """
     if n < 2:
         raise ConfigError(f"particles.n: need at least 2 trajectories, got {n}")
@@ -199,30 +203,22 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     m2_raw = np.empty(n_points)
     vvar = np.empty(n_points)
 
-    if kappa == 0.0:
-        # no noise: every trajectory from a point coincides, variance is
-        # exactly zero and one trajectory per point suffices
-        x, y = box.grid()
-        for _ in range(m):
-            x, y = _em_step(box, velocity, x, y, ds_eff, sign)
-        w = sample_many(rho0, x, y)
-        zeros = np.zeros_like(w)
-        mean_field = ScalarField(box, w)
-        vmap = VarianceMap(box, zeros, n_per_point=n, second_moment=w * w,
-                           var_of_var=zeros.copy())
-        return mean_field, vmap
-
-    for start in range(0, n_points, _POINT_CHUNK):
-        idx = np.arange(start, min(start + _POINT_CHUNK, n_points))
-        gens = [_substream(seed, stream, int(k)) for k in idx]
+    # kappa = 0: one trajectory per point, and no generators to batch by chunk
+    noisy = kappa > 0.0
+    chunk = _POINT_CHUNK if noisy else n_points
+    n_traj = n if noisy else 1
+    for start in range(0, n_points, chunk):
+        idx = np.arange(start, min(start + chunk, n_points))
+        gens = [_substream(seed, stream, int(k)) for k in idx] if noisy else []
         p = len(idx)
-        x = np.repeat(xc[idx // box.ny], n).reshape(p, n)
-        y = np.repeat(yc[idx % box.ny], n).reshape(p, n)
-        z = np.empty((p, 2, n))
+        x = np.repeat(xc[idx // box.ny], n_traj).reshape(p, n_traj)
+        y = np.repeat(yc[idx % box.ny], n_traj).reshape(p, n_traj)
+        z = np.empty((p, 2, n_traj))
         for _ in range(m):
             for row, g in enumerate(gens):
                 z[row] = g.standard_normal((2, n))
-            x, y = _em_step(box, velocity, x, y, ds_eff, sign, sig * z[:, 0], sig * z[:, 1])
+            noise = (sig * z[:, 0], sig * z[:, 1]) if noisy else ()
+            x, y = _em_step(box, velocity, x, y, ds_eff, sign, *noise)
         w = sample_many(rho0, x, y)
         mu = w.mean(axis=1)
         m2c = w.var(axis=1)                      # biased central second moment

@@ -167,7 +167,9 @@ class TestSde:
 
 
 def count_solver_runs(monkeypatch):
-    """Record every solver run started through analysis (sweeps, fdr)."""
+    """Record every solver run started by a command (pde, sweeps, fdr)."""
+    from anisodiff import cli as cli_mod
+
     calls = []
     real = analysis.run
 
@@ -176,6 +178,7 @@ def count_solver_runs(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "run", spy)
+    monkeypatch.setattr(cli_mod, "run", spy)
     return calls
 
 
@@ -331,6 +334,29 @@ class TestRerunAndDeterminism:
         assert main(["rerun", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
         assert (out1 / "fdr.csv").read_bytes() == (out2 / "fdr.csv").read_bytes()
 
+    def edited_manifest(self, tmp_path, edit):
+        out = tmp_path / "f1"
+        assert main(["figures", "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        edit(payload["config"])
+        manifest.write_text(json.dumps(payload))
+        return out, manifest
+
+    def test_missing_section_takes_defaults(self, tmp_path):
+        out1, manifest = self.edited_manifest(tmp_path, lambda c: c.pop("sweep"))
+        out2 = tmp_path / "f2"
+        assert main(["rerun", str(manifest), "--out", str(out2)]) == 0
+        for name in ("fig1.csv", "fig2.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_unknown_field_exits_2(self, tmp_path):
+        _, manifest = self.edited_manifest(
+            tmp_path, lambda c: c["solver"].update(bogus=1))
+        out2 = tmp_path / "f2"
+        assert main(["rerun", str(manifest), "--out", str(out2)]) == 2
+        assert not out2.exists()
+
     def test_manifest_experiment_must_match_config(self, tmp_path):
         cfg = write_config(tmp_path, dict(HEAT_CONFIG, solver=dict(
             HEAT_CONFIG["solver"], t_end=0.01)))
@@ -402,3 +428,53 @@ class TestManifest:
         assert {p.name for p in out.iterdir()} == {*manifest["artifacts"], "manifest.json"}
         for name, digest in manifest["artifacts"].items():
             assert sha256_file(out / name) == digest
+
+
+# (command, overrides, text the error must contain)
+BAD_CONFIGS = [
+    ("pde", ["initial.mx=abc"], "initial.mx"),
+    ("sweep", ["initial.mx=abc"], "initial.mx"),
+    ("fdr", ["initial.mx=abc"], "initial.mx"),
+    ("sde", ["particles.x0=abc"], "abc"),
+    ("sde", ["particles.seed=abc"], "particles.seed"),
+    ("sde", ["particles.seed=-1"], "particles.seed"),
+    ("fdr", ["particles.seed=abc"], "particles.seed"),
+    ("fdr", ["particles.seed=-1"], "particles.seed"),
+    ("sweep", ['sweep.kappas=["a","b","c","d"]'], "'a'"),
+    ("sweep", ['sweep.dts=["a","b","c","d","e","f","g"]'], "'a'"),
+    ("sde", ["initial.kind=foo"], "initial.kind"),
+    ("pde", ["domain.nx=64.5"], "domain.nx"),
+    ("pde", ["domain.nx=true"], "domain.nx"),
+    ("pde", ["solver.record_every=1.5"], "solver.record_every"),
+    ("pde", ["initial.mx=1.5"], "initial.mx"),
+    ("pde", ["initial.kind=sum", 'initial.terms=[[1.5,1,"ss",1.0]]'], "initial.terms"),
+    ("pde", ["sweep.kappas=[0.01,0.02,0.03,0.05]"], "decade"),
+    ("pde", ["initial.amplitude=NaN"], "initial.amplitude"),
+    ("sde", ["particles.ds=NaN"], "particles.ds"),
+    ("sde", ["particles.t=Infinity"], "particles.t"),
+]
+
+
+@pytest.mark.parametrize("command,overrides,named", BAD_CONFIGS,
+                         ids=[f"{c}-{'-'.join(o)}" for c, o, _ in BAD_CONFIGS])
+def test_bad_config_exits_2_before_compute(tmp_path, monkeypatch, capsys,
+                                           command, overrides, named):
+    calls = count_solver_runs(monkeypatch)
+    out = tmp_path / "x"
+    argv = [command, "--config", write_config(tmp_path, MANIFEST_CASES[command]),
+            "--out", str(out)]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_integral_float_reads_as_integer(tmp_path):
+    doc = dict(MANIFEST_CASES["sde"], particles=dict(
+        MANIFEST_CASES["sde"]["particles"], n=1e2))
+    out = tmp_path / "sde"
+    assert main(["sde", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    echoed = load_manifest(out / "manifest.json")["config"]["particles"]["n"]
+    assert echoed == 100 and isinstance(echoed, int)
+    assert read_csv(out / "sde.csv")[1][0, 0] == 100

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from anisodiff.domain import DomainBox
 from anisodiff.errors import ConfigError
-from anisodiff.fields import (ScalarField, difference_gradient, fourier_mode,
-                              fourier_sum, from_csv, grad_norm_sq, l2_norm_sq,
-                              mean_zero_project, random_fourier_sum, sample,
-                              sample_many, spectral_gradient, to_csv)
+from anisodiff.fields import (MEAN_ZERO_TOL, ScalarField, difference_gradient,
+                              fourier_mode, fourier_sum, from_csv, grad_norm_sq,
+                              l2_norm_sq, mean_zero_project, random_fourier_sum,
+                              sample, sample_many, spectral_gradient, to_csv)
 
 
 class TestL2Norm:
@@ -93,6 +93,14 @@ class TestMeanZeroProject:
         b = mean_zero_project(ScalarField(box, vals + c))
         assert np.allclose(a.values, b.values, atol=1e-12)
 
+    @settings(max_examples=50, deadline=None)
+    @given(offset=st.floats(-1e6, 1e6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_mean_within_tolerance_after_large_offset(self, offset, seed):
+        box = DomainBox(0.7, 1.0, 24, 16)
+        vals = np.random.default_rng(seed).standard_normal((24, 16)) + offset
+        out = mean_zero_project(ScalarField(box, vals)).values
+        assert abs(np.mean(out)) <= MEAN_ZERO_TOL * np.max(np.abs(out))
+
     def test_output_flagged_and_tight(self, box64):
         out = mean_zero_project(ScalarField(box64, np.random.default_rng(0)
                                             .standard_normal((64, 64)) + 5.0))
@@ -127,6 +135,20 @@ class TestSample:
         # one full period away lands on the same node
         assert sample(rho, xs[0] + 2.0, 0.1) == pytest.approx(
             sample(rho, xs[0], 0.1), abs=1e-13)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           pts=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                        min_size=1, max_size=20))
+    def test_within_field_range(self, seed, pts):
+        # bilinear weights are convex: a sample never leaves [min, max]
+        box = DomainBox(0.7, 1.0, 24, 16)
+        f = ScalarField(box, np.random.default_rng(seed).standard_normal((24, 16)))
+        x, y = np.array(pts).T
+        v = sample_many(f, x * 2 * box.half_width_x, y * 2 * box.half_width_y)
+        slack = 4 * np.spacing(np.max(np.abs(f.values)))
+        assert np.all(v >= f.values.min() - slack)
+        assert np.all(v <= f.values.max() + slack)
 
     def test_vectorized_matches_scalar(self, box64):
         rho = random_fourier_sum(box64, 2, seed=8)
@@ -193,3 +215,25 @@ def test_random_fourier_sum_seeded(box64):
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
     assert a.mean_zero
+
+
+@pytest.mark.parametrize("box", [DomainBox(0.7, 0.7, 24, 24), DomainBox(1.5, 1.0, 16, 32)],
+                         ids=["24_L0.7", "16x32"])
+def test_random_fourier_sum_matches_per_pair_loop(box):
+    max_mode, seed, amplitude = 3, 9, 0.8
+    rng = np.random.default_rng(seed)
+    xg, yg = box.grid()
+    ax = np.pi * xg / box.half_width_x
+    ay = np.pi * yg / box.half_width_y
+    vals = np.zeros_like(xg)
+    for mx in range(1, max_mode + 1):
+        for my in range(1, max_mode + 1):
+            c = rng.standard_normal(4) / (mx * my)
+            vals += c[0] * np.sin(mx * ax) * np.sin(my * ay)
+            vals += c[1] * np.sin(mx * ax) * np.cos(my * ay)
+            vals += c[2] * np.cos(mx * ax) * np.sin(my * ay)
+            vals += c[3] * np.cos(mx * ax) * np.cos(my * ay)
+    vals *= amplitude / np.max(np.abs(vals))
+    expect = mean_zero_project(ScalarField(box, vals))
+    got = random_fourier_sum(box, max_mode, seed, amplitude=amplitude)
+    assert np.array_equal(got.values, expect.values)

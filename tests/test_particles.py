@@ -247,6 +247,31 @@ class TestSingleKernel:
         assert abs(w.var(ddof=1) - vmap.values[i, j]) <= 1e-12
 
 
+class TestZeroKappa:
+    """kappa = 0 runs the same loop: one noise-free trajectory per point."""
+
+    @pytest.mark.parametrize("box", [DomainBox(1.0, 1.0, 32, 32),
+                                     DomainBox(0.7, 0.7, 24, 24)], ids=["32", "24_L0.7"])
+    @pytest.mark.parametrize("family", ["zero", "stream"])
+    def test_matches_noise_free_reference(self, box, family, params23, monkeypatch):
+        rho = random_fourier_sum(box, 3, seed=2)
+        vel = (VelocityField.zero() if family == "zero"
+               else make_velocity(params23, 0.5, 1e-3))
+        t, m, n = 0.3, 15, 50
+        generators = []
+        monkeypatch.setattr(particles, "_substream", lambda *a: generators.append(a))
+        mean, vmap = feynman_kac(rho, vel, t, 0.0, n, t / m, seed=3)
+        x, y = box.grid()
+        for _ in range(m):
+            x, y = particles._em_step(box, vel, x, y, t / m, -1.0)
+        w = sample_many(rho, x, y)
+        assert generators == []
+        assert np.array_equal(mean.values, w)
+        assert np.array_equal(vmap.values, np.zeros_like(w))
+        assert np.array_equal(vmap.var_of_var, np.zeros_like(w))
+        assert np.array_equal(vmap.second_moment, w * w)
+
+
 class TestVarianceIntegral:
     def test_zero_map(self):
         box = DomainBox(1.0, 1.0, 8, 8)

@@ -1,0 +1,109 @@
+"""Print the SHA-256 of every artifact of a fixed set of small CLI runs.
+
+Each case runs in-process through `anisodiff.cli.main`, into its own
+temporary directory.  One line per artifact, sorted by file name:
+
+    <case> <exit code> <file name> <sha256>
+
+A case that writes nothing prints one line with `-` for the file and the
+digest.  `manifest.json` is left out, because it records the run time.
+
+Compare two source trees by running the script against each and diffing
+the outputs; identical output means identical artifacts and exit codes:
+
+    PYTHONPATH=<old tree>/src python tools/artifact_digests.py > old.txt
+    PYTHONPATH=src python tools/artifact_digests.py > new.txt
+    diff old.txt new.txt
+
+Pass case names to run only those cases.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+GRID32 = {"domain.nx": 32, "domain.ny": 32}
+NON_DYADIC = {"domain.nx": 24, "domain.ny": 24, "domain.Lx": 0.7, "domain.Ly": 0.7}
+PDE = {**GRID32, "solver.kappa": 0.01, "solver.dt": 0.01, "solver.t_end": 0.5,
+       "solver.record_every": 5}
+SDE = {**GRID32, "particles.n": 500, "particles.ds": 0.01, "particles.t": 0.2,
+       "particles.x0": 0.1, "particles.y0": -0.2, "particles.seed": 7}
+FDR = {**GRID32, "domain.amplitude": 0.5, "solver.dt": 0.01, "solver.t_end": 1.0,
+       "solver.record_every": 1, "particles.n": 50, "particles.ds": 0.0125,
+       "particles.seed": 5, "particles.times": [0.25, 0.5],
+       "particles.grid_nx": 8, "particles.grid_ny": 8}
+SWEEP = {**GRID32, "solver.kappa": 1e-3, "solver.record_every": 1,
+         "sweep.kappas": [1e-3, 5e-3, 2e-2, 1e-1],
+         "sweep.dts": [0.4, 0.08, 0.02, 0.004],
+         "sweep.t_ends": [70.0, 14.0, 3.5, 0.7]}
+
+CASES = {
+    "figures": ("figures", {}),
+    "pde_sl_cn": ("pde", PDE),
+    "pde_upwind": ("pde", {**PDE, "solver.scheme": "upwind", "solver.dt": 0.002,
+                           "solver.t_end": 0.1}),
+    "pde_random": ("pde", {**PDE, "initial.kind": "random", "initial.max_mode": 3,
+                           "initial.seed": 4}),
+    "pde_sum": ("pde", {**PDE, "initial.kind": "sum",
+                        "initial.terms": [[1, 1, "ss", 1.0], [2, 1, "cs", 0.5]]}),
+    "pde_non_dyadic": ("pde", {**PDE, **NON_DYADIC}),
+    "sde_k0.05": ("sde", {**SDE, "solver.kappa": 0.05}),
+    "sde_k0": ("sde", {**SDE, "solver.kappa": 0.0}),
+    "fdr_stream_k0.05": ("fdr", {**FDR, "solver.kappa": 0.05}),
+    "fdr_stream_k0": ("fdr", {**FDR, "solver.kappa": 0.0}),
+    "fdr_zero_k0.05": ("fdr", {**FDR, "domain.family": "zero", "solver.kappa": 0.05}),
+    "fdr_zero_k0": ("fdr", {**FDR, "domain.family": "zero", "solver.kappa": 0.0}),
+    "fdr_zero_non_dyadic_k0.05": ("fdr", {**FDR, **NON_DYADIC, "domain.family": "zero",
+                                          "solver.kappa": 0.05}),
+    "fdr_zero_non_dyadic_k0": ("fdr", {**FDR, **NON_DYADIC, "domain.family": "zero",
+                                       "solver.kappa": 0.0}),
+    "sweep_zero": ("sweep", {**SWEEP, "domain.family": "zero"}),
+    "sweep_stream": ("sweep", {**SWEEP, "domain.family": "stream"}),
+    "sweep_upwind": ("sweep", {**SWEEP, "domain.family": "zero",
+                               "solver.scheme": "upwind"}),
+}
+
+
+def case_argv(name: str, out: Path) -> list[str]:
+    command, sets = CASES[name]
+    argv = [command, "--out", str(out)]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    return argv
+
+
+def case_digests(name: str) -> list[str]:
+    """Run one case in a temporary directory; return its output lines."""
+    from anisodiff.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(case_argv(name, out))
+        files = sorted(p for p in out.iterdir() if p.name != "manifest.json") \
+            if out.is_dir() else []
+        if not files:
+            return [f"{name} {code} - -"]
+        return [f"{name} {code} {p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}"
+                for p in files]
+
+
+def main(argv=None) -> int:
+    names = list(argv if argv is not None else sys.argv[1:]) or list(CASES)
+    unknown = [n for n in names if n not in CASES]
+    if unknown:
+        print(f"unknown case(s): {', '.join(unknown)}; known: {', '.join(CASES)}",
+              file=sys.stderr)
+        return 2
+    for name in names:
+        print("\n".join(case_digests(name)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
