@@ -222,8 +222,8 @@ class ExponentFit:
 
 
 def _sweep_one(args):
-    rho0, velocity, cfg, grad_backend, window = args
-    series = run(rho0, velocity, cfg, grad_backend=grad_backend)
+    rho0, velocity, cfg, window = args
+    series = run(rho0, velocity, cfg)
     return fit_decay(series, window)
 
 
@@ -238,9 +238,8 @@ def _outcome(fn, *args):
 def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
                   base_cfg: SolverConfig, params: AnisotropyParams | None = None,
                   n_jobs: int = 1, window: tuple[float, float] = DEFAULT_FIT_WINDOW,
-                  grad_backend: str = "difference", dts=None,
-                  t_ends=None) -> ExponentFit:
-    """Run the solver once per kappa, fit each decay, regress the rates.
+                  dts=None, t_ends=None) -> ExponentFit:
+    """Run the solver (solver.run) once per kappa, fit each decay, regress the rates.
 
     Runs are independent; with n_jobs > 1 they execute in separate
     processes, at most one per kappa, and are merged by kappa index.
@@ -261,7 +260,7 @@ def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
         t_ends = [base_cfg.t_end] * len(kappas)
 
     jobs = [(rho0, velocity, replace(base_cfg, kappa=k, dt=float(dt), t_end=float(te)),
-             grad_backend, window)
+             window)
             for k, dt, te in zip(kappas, dts, t_ends)]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs))) as pool:
@@ -312,11 +311,11 @@ def check_checkpoint(t: float, dt: float) -> None:
 
 def fdr_check(rho0: ScalarField, velocity: VelocityField, kappa: float, t: float,
               dt: float, n: int, ds: float, seed: int, record_every: int = 10,
-              launch_box=None, stream: int = 0,
-              grad_backend: str = "difference") -> FdrResult:
+              launch_box=None, stream: int = 0) -> FdrResult:
     """Cumulative dissipation (PDE side) vs variance integral (particle side).
 
-    lhs = kappa * integral of ||grad rho||^2 up to t from the solver;
+    lhs = kappa * integral of ||grad rho||^2 up to t from the solver
+    (centered-difference gradient, as in solver.run);
     rhs = integral of the trajectory-endpoint variance map.  The ratio is
     reported, not asserted: lhs/rhs is 0.5 when the dissipation identity
     carries its usual factor 2, and both conventions appear in practice.
@@ -325,7 +324,7 @@ def fdr_check(rho0: ScalarField, velocity: VelocityField, kappa: float, t: float
     """
     check_checkpoint(t, dt)
     cfg = SolverConfig(kappa=kappa, dt=dt, t_end=t, record_every=record_every)
-    series = run(rho0, velocity, cfg, grad_backend=grad_backend)
+    series = run(rho0, velocity, cfg)
     lhs = float(series.dissipation[-1])
     _, vmap = feynman_kac(rho0, velocity, t, kappa, n, ds, seed,
                           launch_box=launch_box, stream=stream)

@@ -63,8 +63,7 @@ def _seeds_of(cfg: RunConfig) -> list[int]:
 
 def cmd_pde(cfg: RunConfig) -> dict[str, str]:
     rho0 = cfg.initial_field()
-    series = run(rho0, cfg.velocity, cfg.solver,
-                 grad_backend=cfg.doc["solver"]["grad_backend"])
+    series = run(rho0, cfg.velocity, cfg.solver)
     lines = [
         f"t_end = {float(series.times[-1])!r}",
         f"norm_sq(0) = {float(series.norms_sq[0])!r}",
@@ -125,8 +124,7 @@ def cmd_fdr(cfg: RunConfig) -> dict[str, str]:
         res = fdr_check(rho0, cfg.velocity, cfg.solver.kappa, t,
                         dt=cfg.solver.dt, n=par["n"], ds=float(par["ds"]),
                         seed=par["seed"], record_every=cfg.solver.record_every,
-                        launch_box=launch, stream=idx,
-                        grad_backend=cfg.doc["solver"]["grad_backend"])
+                        launch_box=launch, stream=idx)
         if not (np.isfinite(res.lhs) and np.isfinite(res.rhs)):
             raise InstabilityError(f"fdr: non-finite estimate at t={t}")
         results.append(res)
@@ -144,7 +142,6 @@ def cmd_sweep(cfg: RunConfig) -> dict[str, str]:
     fit = sweep_and_fit(sweep["kappas"], rho0, cfg.velocity, cfg.solver,
                         params=cfg.params, n_jobs=sweep["jobs"],
                         window=tuple(sweep["window"]),
-                        grad_backend=cfg.doc["solver"]["grad_backend"],
                         dts=sweep["dts"], t_ends=sweep["t_ends"])
     line = np.exp(fit.intercept) * fit.kappas ** fit.slope
     return {

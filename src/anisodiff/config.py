@@ -5,15 +5,19 @@ command, against the owning module's constructor or with the check the
 module applies later (sweep kappas and window, fdr checkpoints), so an
 invalid config is rejected with the offending field named before any
 compute or file output happens.  Integer fields accept an int or a float
-with an integral value (1e4), nothing else.  The initial field is built
-during validation.  A rerun merges its manifest's config over the
-defaults exactly as a config file is merged.
+with an integral value (1e4), nothing else.  Float fields, the entries of
+list fields and the amplitudes of initial.terms accept an int or a finite
+float, nothing else (no bool, string, NaN or infinity).  initial.amplitude
+scales every kind of initial field, a sum's terms included.  The initial
+field is built during validation.  A rerun merges its manifest's config
+over the defaults exactly as a config file is merged, so a manifest that
+holds a field this version does not know is rejected like a config file.
 """
 from __future__ import annotations
 
 import copy
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +42,7 @@ DEFAULTS = {
     },
     "solver": {
         "kappa": 0.01, "dt": 1e-3, "t_end": 2.0, "scheme": "sl_cn",
-        "record_every": 10, "grad_backend": "difference",
+        "record_every": 10,
     },
     "sweep": {
         "kappas": [1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1],
@@ -61,6 +65,17 @@ _INTEGER_FIELDS = {
     "particles.n": 2, "particles.seed": 0, "particles.grid_nx": 8, "particles.grid_ny": 8,
     "sweep.jobs": 1,
 }
+
+# every float field
+_FLOAT_FIELDS = (
+    "domain.p", "domain.q", "domain.alpha", "domain.beta", "domain.Lx", "domain.Ly",
+    "domain.epsilon", "domain.amplitude", "initial.amplitude",
+    "solver.kappa", "solver.dt", "solver.t_end",
+    "particles.ds", "particles.t", "particles.x0", "particles.y0",
+)
+# every list of floats, with whether it may be None (the per-kappa ladders)
+_FLOAT_LISTS = {"particles.times": False, "sweep.kappas": False, "sweep.window": False,
+                "sweep.dts": True, "sweep.t_ends": True}
 
 
 def _merge(base: dict, extra: dict, path="") -> dict:
@@ -129,14 +144,23 @@ def _integer(value, name: str, lo: int | None = None) -> int:
     return value
 
 
+def _real(value, name: str) -> float:
+    """An int or a finite float, as a float: no bool, string, NaN or infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _build_initial(ini: dict, box: DomainBox) -> ScalarField:
+    amplitude = float(ini["amplitude"])
     if ini["kind"] == "mode":
-        return fourier_mode(box, ini["mx"], ini["my"], amplitude=float(ini["amplitude"]))
+        return fourier_mode(box, ini["mx"], ini["my"], amplitude=amplitude)
     if ini["kind"] == "random":
-        return random_fourier_sum(box, ini["max_mode"], ini["seed"],
-                                  amplitude=float(ini["amplitude"]))
+        return random_fourier_sum(box, ini["max_mode"], ini["seed"], amplitude=amplitude)
     if ini["kind"] == "sum":
-        return fourier_sum(box, ini["terms"])
+        return fourier_sum(box, [(mx, my, kind, amplitude * amp)
+                                 for mx, my, kind, amp in ini["terms"]])
     raise ConfigError(f"initial.kind: must be 'mode', 'random', or 'sum', "
                       f"got {ini['kind']!r}")
 
@@ -157,25 +181,35 @@ def _build_velocity(dom: dict, params: AnisotropyParams) -> VelocityField:
 def build_config(doc: dict) -> RunConfig:
     """Validate a fully merged document into module objects.
 
-    Integer fields are normalized in place (1e4 becomes 10000), and the
-    initial field is built here, once, so that a bad initial section is
-    rejected for every command.
+    Integer fields are normalized in place (1e4 becomes 10000); float
+    fields are checked but left as given, so the manifest echoes them.
+    The initial field is built here, once, so that a bad initial section
+    is rejected for every command.
     """
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: must be one of {EXPERIMENTS}, got {experiment!r}")
     dom, sol, ini = doc["domain"], doc["solver"], doc["initial"]
     par, sweep = doc["particles"], doc["sweep"]
-    if sol["grad_backend"] not in ("difference", "spectral"):
-        raise ConfigError(
-            f"solver.grad_backend: must be 'difference' or 'spectral', "
-            f"got {sol['grad_backend']!r}")
     try:
         for path, lo in _INTEGER_FIELDS.items():
             section, field = path.split(".")
             doc[section][field] = _integer(doc[section][field], path, lo)
+        for path in _FLOAT_FIELDS:
+            section, field = path.split(".")
+            _real(doc[section][field], path)
+        for path, optional in _FLOAT_LISTS.items():
+            section, field = path.split(".")
+            values = doc[section][field]
+            if values is None and optional:
+                continue
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"{path}: must be a list of numbers, got {values!r}")
+            for value in values:
+                _real(value, path)
         ini["terms"] = [[_integer(mx, "initial.terms"), _integer(my, "initial.terms"),
-                         kind, float(amp)] for mx, my, kind, amp in ini["terms"]]
+                         kind, _real(amp, "initial.terms")]
+                        for mx, my, kind, amp in ini["terms"]]
         params = AnisotropyParams(p=dom["p"], q=dom["q"],
                                   alpha=dom["alpha"], beta=dom["beta"])
         box = DomainBox(half_width_x=float(dom["Lx"]), half_width_y=float(dom["Ly"]),
@@ -184,14 +218,9 @@ def build_config(doc: dict) -> RunConfig:
         solver = SolverConfig(kappa=float(sol["kappa"]), dt=float(sol["dt"]),
                               t_end=float(sol["t_end"]), scheme=sol["scheme"],
                               record_every=sol["record_every"])
-        for path in ("initial.amplitude", "particles.x0", "particles.y0"):
-            section, field = path.split(".")
-            if not math.isfinite(float(doc[section][field])):
-                raise ConfigError(f"{path}: must be finite, got {doc[section][field]}")
         for field in ("ds", "t"):
-            if not 0.0 < float(par[field]) < math.inf:
-                raise ConfigError(f"particles.{field}: must be > 0 and finite, "
-                                  f"got {par[field]}")
+            if not float(par[field]) > 0.0:
+                raise ConfigError(f"particles.{field}: must be > 0, got {par[field]}")
         if experiment == "fdr":
             times = [float(t) for t in par["times"]]
             if not times:

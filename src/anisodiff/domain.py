@@ -69,10 +69,6 @@ class DomainBox:
     def hy(self) -> float:
         return 2.0 * self.half_width_y / self.ny
 
-    @property
-    def area(self) -> float:
-        return 4.0 * self.half_width_x * self.half_width_y
-
     def x_centers(self) -> np.ndarray:
         return -self.half_width_x + (np.arange(self.nx) + 0.5) * self.hx
 

@@ -2,8 +2,9 @@
 
 Integrals use the midpoint rule on cell centers, which is spectrally
 accurate for smooth periodic integrands.  Gradients come in two flavors:
-centered differences (cheap, default in time loops) and exact spectral
-derivatives (the reference used for cross-validation).
+centered differences (cheap; the solver's time loop uses them) and exact
+spectral derivatives (the reference the difference stencil is checked
+against).
 """
 from __future__ import annotations
 

@@ -6,10 +6,9 @@ Trajectories follow the Euler-Maruyama update
     Y <- Y - u_y(X, Y) ds + sqrt(2 kappa ds) xi_2
 
 with positions wrapped into the periodic box after every step.  The drift
-sign is negated relative to the forward flow so that integrating the
-backward process forward in its own time variable realizes the stochastic
-representation of the drift-diffusion equation; literal_signs=True flips
-it back for side-by-side comparison.  One kernel, _em_step, performs this
+is -u, the negated forward flow, so that integrating the backward process
+forward in its own time variable realizes the stochastic representation
+of the drift-diffusion equation.  One kernel, _em_step, performs this
 update for both sde_step and feynman_kac; each caller scales its own noise.
 
 Randomness is counter-based: each launch point owns a Philox substream
@@ -34,9 +33,9 @@ def _substream(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _em_step(box: DomainBox, velocity: VelocityField, x, y, ds: float, sign: float,
+def _em_step(box: DomainBox, velocity: VelocityField, x, y, ds: float,
              noise_x=None, noise_y=None):
-    """Euler-Maruyama update: drift sign * u * ds, plus the caller's noise, wrapped.
+    """Euler-Maruyama update: drift -u * ds, plus the caller's noise, wrapped.
 
     With neither drift (zero field) nor noise the positions are returned
     as given: wrapping would change the last bits of the cell centres of a
@@ -44,8 +43,8 @@ def _em_step(box: DomainBox, velocity: VelocityField, x, y, ds: float, sign: flo
     """
     if not velocity.is_zero:
         ux, uy = velocity.velocity(x, y)
-        x = x + sign * ux * ds
-        y = y + sign * uy * ds
+        x = x - ux * ds
+        y = y - uy * ds
     if noise_x is not None:
         x = x + noise_x
         y = y + noise_y
@@ -63,7 +62,6 @@ class ParticleEnsemble:
     y: np.ndarray
     kappa: float
     rng_seed: int
-    elapsed: float = 0.0
     x0: np.ndarray | None = dc_field(default=None, repr=False)
     y0: np.ndarray | None = dc_field(default=None, repr=False)
     rng: np.random.Generator | None = dc_field(default=None, repr=False)
@@ -103,27 +101,18 @@ def make_ensemble(box: DomainBox, n: int, x0: float = 0.0, y0: float = 0.0,
                             kappa=float(kappa), rng_seed=int(seed))
 
 
-def sde_step(ens: ParticleEnsemble, velocity: VelocityField, ds: float,
-             dW: np.ndarray | None = None,
-             literal_signs: bool = False) -> ParticleEnsemble:
-    """One Euler-Maruyama step of backward time ds.
+def sde_step(ens: ParticleEnsemble, velocity: VelocityField, ds: float) -> ParticleEnsemble:
+    """One Euler-Maruyama step of backward time ds, drift -u.
 
-    dW, when given, supplies the Wiener increments directly (shape (2, n),
-    standard deviation sqrt(ds) each); used for common-random-number
-    refinement studies.  Otherwise increments are drawn from the
-    ensemble's own substream.
+    The Wiener increments (standard deviation sqrt(ds) each) are drawn
+    from the ensemble's own substream.
     """
     if ds <= 0:
         raise ConfigError(f"particles.ds: must be > 0, got {ds}")
-    if dW is None:
-        dW = np.sqrt(ds) * ens.rng.standard_normal((2, ens.n))
-    elif dW.shape != (2, ens.n):
-        raise ConfigError(f"particles.dW: expected shape (2, {ens.n}), got {dW.shape}")
+    dw = np.sqrt(ds) * ens.rng.standard_normal((2, ens.n))
     sig = np.sqrt(2.0 * ens.kappa)
-    x, y = _em_step(ens.box, velocity, ens.x, ens.y, ds, 1.0 if literal_signs else -1.0,
-                    sig * dW[0], sig * dW[1])
-    return replace(ens, x=x, y=y, elapsed=ens.elapsed + ds,
-                   x0=ens.x0, y0=ens.y0, rng=ens.rng)
+    x, y = _em_step(ens.box, velocity, ens.x, ens.y, ds, sig * dw[0], sig * dw[1])
+    return replace(ens, x=x, y=y, x0=ens.x0, y0=ens.y0, rng=ens.rng)
 
 
 @dataclass
@@ -137,7 +126,6 @@ class VarianceMap:
 
     box: DomainBox
     values: np.ndarray
-    n_per_point: int
     second_moment: np.ndarray | None = dc_field(default=None, repr=False)
     var_of_var: np.ndarray | None = dc_field(default=None, repr=False)
 
@@ -167,13 +155,14 @@ def variance_integral_stderr(vmap: VarianceMap) -> float:
 
 def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
                 kappa: float, n: int, ds: float, seed: int,
-                launch_box: DomainBox | None = None, stream: int = 0,
-                literal_signs: bool = False) -> tuple[ScalarField, VarianceMap]:
+                launch_box: DomainBox | None = None,
+                stream: int = 0) -> tuple[ScalarField, VarianceMap]:
     """Monte Carlo estimate of the evolved field and its variance map.
 
     From every cell center of launch_box (default: rho0's grid), n
     trajectories integrate backward time t in equal Euler-Maruyama steps
-    of size ~ds; rho0 is then bilinearly sampled at the endpoints.
+    of size ~ds with drift -u; rho0 is then bilinearly sampled at the
+    endpoints.
     Returns the ensemble-mean field (the estimate of rho at time t) and
     the per-point variance map.
 
@@ -193,7 +182,6 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     m = max(1, int(round(t / ds)))
     ds_eff = t / m
     sig = np.sqrt(2.0 * kappa * ds_eff)
-    sign = 1.0 if literal_signs else -1.0
 
     xc = box.x_centers()
     yc = box.y_centers()
@@ -218,7 +206,7 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
             for row, g in enumerate(gens):
                 z[row] = g.standard_normal((2, n))
             noise = (sig * z[:, 0], sig * z[:, 1]) if noisy else ()
-            x, y = _em_step(box, velocity, x, y, ds_eff, sign, *noise)
+            x, y = _em_step(box, velocity, x, y, ds_eff, *noise)
         w = sample_many(rho0, x, y)
         mu = w.mean(axis=1)
         m2c = w.var(axis=1)                      # biased central second moment
@@ -230,7 +218,7 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
 
     shape = (box.nx, box.ny)
     mean_field = ScalarField(box, mean_vals.reshape(shape))
-    vmap = VarianceMap(box, var_vals.reshape(shape), n_per_point=n,
+    vmap = VarianceMap(box, var_vals.reshape(shape),
                        second_moment=m2_raw.reshape(shape),
                        var_of_var=vvar.reshape(shape))
     return mean_field, vmap

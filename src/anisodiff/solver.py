@@ -199,13 +199,12 @@ def step(f: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> ScalarFi
     return _checked_step(_make_stepper(f.box, velocity, cfg), f)
 
 
-def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig,
-        grad_backend: str = "difference") -> DecaySeries:
+def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> DecaySeries:
     """Integrate to t_end, recording the decay and dissipation series.
 
     Samples are taken at t = 0, every record_every-th step, and the final
     step; the dissipation integral uses the trapezoid rule on exactly
-    those samples.
+    those samples, with ||grad rho||^2 from centered differences.
     """
     if not rho0.mean_zero:
         raise ConfigError("solver.run: rho0 must be mean-zero")
@@ -217,7 +216,7 @@ def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig,
     max0 = np.max(np.abs(f.values))
     times = [0.0]
     norms = [l2_norm_sq(f)]
-    grads = [grad_norm_sq(f, backend=grad_backend)]
+    grads = [grad_norm_sq(f)]
     diss = [0.0]
     for i in range(1, n_steps + 1):
         try:
@@ -231,7 +230,7 @@ def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig,
                 f"value at t={i * cfg.dt:.6g}", time=i * cfg.dt)
         if i % cfg.record_every == 0 or i == n_steps:
             t = i * cfg.dt
-            g = grad_norm_sq(f, backend=grad_backend)
+            g = grad_norm_sq(f)
             diss.append(diss[-1] + cfg.kappa * (t - times[-1]) * 0.5 * (grads[-1] + g))
             times.append(t)
             norms.append(l2_norm_sq(f))

@@ -147,6 +147,17 @@ class TestPde:
         # ||sin sin||^2 + 0.09 ||cos cos||^2 = 1 + 0.09 on the unit box
         assert rows[0, 1] == pytest.approx(1.09, abs=1e-10)
 
+    def test_amplitude_scales_fourier_sum(self, tmp_path):
+        cfg = write_config(tmp_path, dict(HEAT_CONFIG, initial={
+            "kind": "sum", "terms": [[1, 1, "ss", 1.0], [2, 1, "cs", 0.5]]}))
+        norms = []
+        for amplitude in (1, 2):
+            out = tmp_path / f"amp{amplitude}"
+            assert main(["pde", "--config", cfg, "--out", str(out),
+                         "--set", f"initial.amplitude={amplitude}"]) == 0
+            norms.append(read_csv(out / "decay.csv")[1][:, 1])
+        assert np.allclose(norms[1], 4.0 * norms[0], rtol=1e-12, atol=0.0)
+
 
 class TestSde:
     def test_stats_file(self, tmp_path):
@@ -357,6 +368,13 @@ class TestRerunAndDeterminism:
         assert main(["rerun", str(manifest), "--out", str(out2)]) == 2
         assert not out2.exists()
 
+    def test_removed_grad_backend_field_exits_2(self, tmp_path):
+        _, manifest = self.edited_manifest(
+            tmp_path, lambda c: c["solver"].update(grad_backend="difference"))
+        out2 = tmp_path / "f2"
+        assert main(["rerun", str(manifest), "--out", str(out2)]) == 2
+        assert not out2.exists()
+
     def test_manifest_experiment_must_match_config(self, tmp_path):
         cfg = write_config(tmp_path, dict(HEAT_CONFIG, solver=dict(
             HEAT_CONFIG["solver"], t_end=0.01)))
@@ -435,7 +453,7 @@ BAD_CONFIGS = [
     ("pde", ["initial.mx=abc"], "initial.mx"),
     ("sweep", ["initial.mx=abc"], "initial.mx"),
     ("fdr", ["initial.mx=abc"], "initial.mx"),
-    ("sde", ["particles.x0=abc"], "abc"),
+    ("sde", ["particles.x0=abc"], "particles.x0"),
     ("sde", ["particles.seed=abc"], "particles.seed"),
     ("sde", ["particles.seed=-1"], "particles.seed"),
     ("fdr", ["particles.seed=abc"], "particles.seed"),
@@ -452,6 +470,13 @@ BAD_CONFIGS = [
     ("pde", ["initial.amplitude=NaN"], "initial.amplitude"),
     ("sde", ["particles.ds=NaN"], "particles.ds"),
     ("sde", ["particles.t=Infinity"], "particles.t"),
+    ("pde", ["solver.grad_backend=difference"], "grad_backend"),
+    ("pde", ["domain.p=true"], "domain.p"),
+    ("pde", ["solver.kappa=true"], "solver.kappa"),
+    ("pde", ["domain.epsilon=NaN"], "domain.epsilon"),
+    ("pde", ['solver.kappa="0.02"'], "solver.kappa"),
+    ("fdr", ["particles.times=[0.25,true]"], "particles.times"),
+    ("pde", ["initial.kind=sum", 'initial.terms=[[1,1,"ss",true]]'], "initial.terms"),
 ]
 
 

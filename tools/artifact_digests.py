@@ -52,10 +52,12 @@ CASES = {
     "pde_sum": ("pde", {**PDE, "initial.kind": "sum",
                         "initial.terms": [[1, 1, "ss", 1.0], [2, 1, "cs", 0.5]]}),
     "pde_non_dyadic": ("pde", {**PDE, **NON_DYADIC}),
+    "pde_shear": ("pde", {**PDE, "domain.family": "shear"}),
     "sde_k0.05": ("sde", {**SDE, "solver.kappa": 0.05}),
     "sde_k0": ("sde", {**SDE, "solver.kappa": 0.0}),
     "fdr_stream_k0.05": ("fdr", {**FDR, "solver.kappa": 0.05}),
     "fdr_stream_k0": ("fdr", {**FDR, "solver.kappa": 0.0}),
+    "fdr_shear_k0.05": ("fdr", {**FDR, "domain.family": "shear", "solver.kappa": 0.05}),
     "fdr_zero_k0.05": ("fdr", {**FDR, "domain.family": "zero", "solver.kappa": 0.05}),
     "fdr_zero_k0": ("fdr", {**FDR, "domain.family": "zero", "solver.kappa": 0.0}),
     "fdr_zero_non_dyadic_k0.05": ("fdr", {**FDR, **NON_DYADIC, "domain.family": "zero",
