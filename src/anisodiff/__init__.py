@@ -12,10 +12,10 @@ Subpackages:
 __version__ = "0.1.0"
 
 from .domain import (AnisotropyParams, DomainBox, VelocityField,
-                     divergence_residual, make_velocity, scaling_f, scaling_g)
+                     divergence_residual, make_velocity, profile)
 from .fields import (ScalarField, fourier_mode, fourier_sum, grad_norm_sq,
-                     l2_norm_sq, mean_zero_project, random_fourier_sum, sample)
-from .solver import DecaySeries, SolverConfig, run, step
+                     l2_norm_sq, mean_zero_project, random_fourier_sum)
+from .solver import DecaySeries, SolverConfig, run
 from .particles import (ParticleEnsemble, VarianceMap, feynman_kac,
                         make_ensemble, sde_step, variance_integral)
 from .analysis import (DecayFit, ExponentFit, FdrResult, exponent_report,
@@ -27,10 +27,10 @@ from .errors import (AnisodiffError, ConfigError, FitWindowError,
 
 __all__ = [
     "AnisotropyParams", "DomainBox", "VelocityField", "divergence_residual",
-    "make_velocity", "scaling_f", "scaling_g",
+    "make_velocity", "profile",
     "ScalarField", "fourier_mode", "fourier_sum", "grad_norm_sq", "l2_norm_sq",
-    "mean_zero_project", "random_fourier_sum", "sample",
-    "DecaySeries", "SolverConfig", "run", "step",
+    "mean_zero_project", "random_fourier_sum",
+    "DecaySeries", "SolverConfig", "run",
     "ParticleEnsemble", "VarianceMap", "feynman_kac", "make_ensemble",
     "sde_step", "variance_integral",
     "DecayFit", "ExponentFit", "FdrResult", "exponent_report",

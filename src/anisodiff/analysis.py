@@ -29,7 +29,6 @@ from .manifest import csv_text
 from .particles import feynman_kac, variance_integral, variance_integral_stderr
 from .solver import DecaySeries, SolverConfig, run
 
-DEFAULT_SWEEP_KAPPAS = (1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1)
 DEFAULT_FIT_WINDOW = (0.1, 0.9)
 
 

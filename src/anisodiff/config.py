@@ -25,6 +25,7 @@ from .analysis import check_checkpoint, check_sweep, check_window
 from .domain import AnisotropyParams, DomainBox, VelocityField, make_velocity
 from .errors import ConfigError
 from .fields import ScalarField, fourier_mode, fourier_sum, random_fourier_sum
+from .manifest import read_json_object
 from .solver import SolverConfig
 
 EXPERIMENTS = ("pde", "sde", "fdr", "sweep", "figures")
@@ -107,8 +108,8 @@ def _apply_override(doc: dict, assignment: str) -> None:
         raise ConfigError(f"config.--set: unknown field {key!r}")
     try:
         node[leaf] = json.loads(raw)
-    except json.JSONDecodeError:
-        node[leaf] = raw  # bare strings are allowed unquoted
+    except (ValueError, RecursionError):
+        node[leaf] = raw  # a bare string, or a value the field's reader rejects by name
 
 
 @dataclass
@@ -172,7 +173,7 @@ def _build_velocity(dom: dict, params: AnisotropyParams) -> VelocityField:
     if family == "zero":
         return VelocityField.zero()
     if family == "stream":
-        return make_velocity(params, amp, eps, pure_diffusion=(amp == 0.0))
+        return make_velocity(params, amp, eps)
     if family == "shear":
         return VelocityField.shear(params, amp, eps)
     raise ConfigError(f"domain.family: must be stream, shear, or zero, got {family!r}")
@@ -232,6 +233,9 @@ def build_config(doc: dict) -> RunConfig:
                                   f"checkpoint {min(times)}, got {par['ds']}")
         check_sweep(sweep["kappas"], sweep["dts"], sweep["t_ends"])
         check_window(sweep["window"], "sweep.window")
+        outdir = doc["output"]["dir"]
+        if outdir is not None and not isinstance(outdir, str):
+            raise ConfigError(f"output.dir: must be null or a string, got {outdir!r}")
         initial = _build_initial(ini, box)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: malformed numeric field ({exc})") from exc
@@ -250,17 +254,7 @@ def load_config(path: str | Path | None = None, overrides=(),
     if base is not None:
         doc = _merge(doc, base)
     if path is not None:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"config: cannot read {path} ({exc})") from exc
-        try:
-            user = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: {path} is not valid JSON ({exc})") from exc
-        if not isinstance(user, dict):
-            raise ConfigError(f"config: {path} must contain a JSON object")
-        doc = _merge(doc, user)
+        doc = _merge(doc, read_json_object(path, "config"))
     for assignment in overrides:
         _apply_override(doc, assignment)
     return build_config(doc)

@@ -1,8 +1,8 @@
 """Anisotropic geometry and divergence-free velocity fields.
 
 The domain is a periodic box [-Lx, Lx) x [-Ly, Ly).  Velocity fields are
-built from a stream function psi(x, y) = A * f(x) * g(y), where the scaling
-profiles f and g carry the anisotropy exponents p and q:
+built from a stream function psi(x, y) = A * f(x) * g(y), where f and g
+are `profile` with the anisotropy exponents p and q:
 
     f(x) = (x^2 + eps^2)^(p/2),    g(y) = (y^2 + eps^2)^(q/2)
 
@@ -105,23 +105,16 @@ def _pow_half(base, half_exponent: float):
     return np.power(base, e)
 
 
-def scaling_f(x, params: AnisotropyParams, epsilon: float = 0.0):
-    """Regularized x-direction profile (x^2 + eps^2)^(p/2).
+def profile(s, exponent: float, epsilon: float = 0.0):
+    """Regularized profile (s^2 + eps^2)^(exponent/2): f with exponent p,
+    g with exponent q.
 
-    Equals |x|^p exactly when epsilon is 0; even in x for any epsilon.
+    Equals |s|^exponent exactly when epsilon is 0; even in s for any epsilon.
     """
     if epsilon < 0:
         raise ConfigError(f"epsilon: must be >= 0, got {epsilon}")
-    x = np.asarray(x, dtype=float)
-    return _pow_half(x * x + epsilon * epsilon, params.p / 2.0)
-
-
-def scaling_g(y, params: AnisotropyParams, epsilon: float = 0.0):
-    """Regularized y-direction profile (y^2 + eps^2)^(q/2)."""
-    if epsilon < 0:
-        raise ConfigError(f"epsilon: must be >= 0, got {epsilon}")
-    y = np.asarray(y, dtype=float)
-    return _pow_half(y * y + epsilon * epsilon, params.q / 2.0)
+    s = np.asarray(s, dtype=float)
+    return _pow_half(s * s + epsilon * epsilon, exponent / 2.0)
 
 
 def _profile_derivative(s, exponent: float, epsilon: float):
@@ -193,12 +186,6 @@ class VelocityField:
         return cls(family="shear", params=params, amplitude=amplitude,
                    regularization=epsilon)
 
-    def stream_function(self, x, y):
-        if self.family != "stream":
-            raise ConfigError(f"velocity.family: {self.family!r} has no stream function")
-        eps = self.regularization
-        return self.amplitude * scaling_f(x, self.params, eps) * scaling_g(y, self.params, eps)
-
     def velocity(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """Component arrays (u_x, u_y) at the given coordinates."""
         x = np.asarray(x, dtype=float)
@@ -211,11 +198,10 @@ class VelocityField:
         eps = self.regularization
         a = self.amplitude
         if self.family == "shear":
-            ux = a * scaling_g(y, self.params, eps)
-            return ux, np.zeros_like(y)
+            return a * profile(y, self.params.q, eps), np.zeros_like(y)
         # stream family: u = (psi_y, -psi_x)
-        fx = scaling_f(x, self.params, eps)
-        gy = scaling_g(y, self.params, eps)
+        fx = profile(x, self.params.p, eps)
+        gy = profile(y, self.params.q, eps)
         dfx = _profile_derivative(x, self.params.p, eps)
         dgy = _profile_derivative(y, self.params.q, eps)
         return a * fx * dgy, -a * dfx * gy
@@ -227,22 +213,16 @@ class VelocityField:
         return float(max(np.max(np.abs(ux)), np.max(np.abs(uy))))
 
 
-def make_velocity(params: AnisotropyParams, amplitude: float, epsilon: float,
-                  pure_diffusion: bool = False) -> VelocityField:
+def make_velocity(params: AnisotropyParams, amplitude: float,
+                  epsilon: float) -> VelocityField:
     """Stream-function field with the prescribed anisotropy.
 
-    amplitude == 0 is rejected unless the run is explicitly flagged as
-    pure diffusion, in which case the zero field is returned.  epsilon
-    must be positive when either exponent is below 1, otherwise the
+    amplitude == 0 gives the zero field (a pure-diffusion run).  Otherwise
+    epsilon must be positive when either exponent is below 1, or the
     velocity components are unbounded near the axes.
     """
     if amplitude == 0.0:
-        if pure_diffusion:
-            return VelocityField.zero()
-        raise ConfigError(
-            "velocity.amplitude: 0 requested for an advective run; "
-            "pass pure_diffusion=True for a deliberately degenerate field"
-        )
+        return VelocityField.zero()
     if epsilon <= 0.0 and (params.p < 1.0 or params.q < 1.0):
         raise ConfigError(
             f"velocity.regularization: must be > 0 when p < 1 or q < 1 "

@@ -1,10 +1,8 @@
 """Grid-sampled scalar fields: norms, gradients, projection, interpolation.
 
 Integrals use the midpoint rule on cell centers, which is spectrally
-accurate for smooth periodic integrands.  Gradients come in two flavors:
-centered differences (cheap; the solver's time loop uses them) and exact
-spectral derivatives (the reference the difference stencil is checked
-against).
+accurate for smooth periodic integrands.  Gradients are centered
+differences, second order in the grid spacing.
 """
 from __future__ import annotations
 
@@ -122,22 +120,6 @@ def _wavenumbers(box: DomainBox) -> tuple[np.ndarray, np.ndarray]:
     return kx, ky
 
 
-def spectral_gradient(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """Exact derivatives of the trigonometric interpolant.
-
-    The Nyquist mode is zeroed, as usual for odd derivatives of real data.
-    """
-    kx, ky = _wavenumbers(f.box)
-    kx = kx.copy()
-    ky = ky.copy()
-    kx[f.box.nx // 2] = 0.0
-    ky[-1] = 0.0
-    fh = np.fft.rfft2(f.values)
-    dx = np.fft.irfft2(1j * kx[:, None] * fh, s=f.values.shape)
-    dy = np.fft.irfft2(1j * ky[None, :] * fh, s=f.values.shape)
-    return dx, dy
-
-
 def difference_gradient(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Centered differences with periodic wraparound; O(h^2)."""
     v = f.values
@@ -146,14 +128,9 @@ def difference_gradient(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     return dx, dy
 
 
-def grad_norm_sq(f: ScalarField, backend: str = "difference") -> float:
-    """Quadrature of |grad rho|^2 with the selected gradient backend."""
-    if backend == "spectral":
-        dx, dy = spectral_gradient(f)
-    elif backend == "difference":
-        dx, dy = difference_gradient(f)
-    else:
-        raise ConfigError(f"gradient.backend: unknown backend {backend!r}")
+def grad_norm_sq(f: ScalarField) -> float:
+    """Quadrature of |grad rho|^2 with the centered-difference gradient."""
+    dx, dy = difference_gradient(f)
     return float(np.sum(dx * dx + dy * dy) * f.box.hx * f.box.hy)
 
 
@@ -177,27 +154,8 @@ def sample_many(f: ScalarField, x, y) -> np.ndarray:
             + wx * wy * v[i1, j1])
 
 
-def sample(f: ScalarField, x: float, y: float) -> float:
-    return float(sample_many(f, x, y))
-
-
 def to_csv(f: ScalarField) -> str:
     """Grid CSV: header row nx,ny,Lx,Ly, then one row-major value per line."""
     box = f.box
     return csv_text("nx,ny,Lx,Ly", [(box.nx, box.ny, box.half_width_x, box.half_width_y),
                                     *f.values.reshape(-1, 1)])
-
-
-def from_csv(text: str) -> ScalarField:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].replace(" ", "") != "nx,ny,Lx,Ly":
-        raise ConfigError("field csv: missing nx,ny,Lx,Ly header")
-    nx_s, ny_s, lx_s, ly_s = lines[1].split(",")
-    box = DomainBox(half_width_x=float(lx_s), half_width_y=float(ly_s),
-                    nx=int(nx_s), ny=int(ny_s))
-    vals = np.array([float(v) for v in lines[2:]], dtype=float)
-    if vals.size != box.nx * box.ny:
-        raise ConfigError(
-            f"field csv: expected {box.nx * box.ny} values, got {vals.size}"
-        )
-    return ScalarField(box, vals.reshape(box.nx, box.ny))

@@ -1,8 +1,10 @@
-"""Run output: the one CSV format, the artifact writer, run manifests.
+"""Run files: the one CSV format, the one JSON file reader, the artifact
+writer, run manifests.
 
 Every CSV artifact is built by `csv_text`; every file of a run is written
 by one `ArtifactWriter`, whose manifest echoes the config and seeds and
-lists each artifact's checksum.
+lists each artifact's checksum.  A config file and a manifest are both
+read by `read_json_object`.
 """
 from __future__ import annotations
 
@@ -63,14 +65,25 @@ class ArtifactWriter:
         return path
 
 
-def load_manifest(path: str | Path) -> dict:
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in file path.  An unreadable file, text that is not
+    JSON (any ValueError: syntax, encoding, an integer too long to convert;
+    or nesting too deep to parse) or a top level that is not an object is a
+    ConfigError naming the file."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
     except OSError as exc:
-        raise ConfigError(f"manifest: cannot read {path} ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"manifest: {path} is not valid JSON ({exc})") from exc
+        raise ConfigError(f"{what}: cannot read {path} ({exc})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what}: {path} is not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what}: {path} must contain a JSON object")
+    return payload
+
+
+def load_manifest(path: str | Path) -> dict:
+    payload = read_json_object(path, "manifest")
     for key in ("experiment", "config", "artifacts"):
         if key not in payload:
             raise ConfigError(f"manifest: missing required key {key!r}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import DomainBox, VelocityField
 from .errors import ConfigError
-from .fields import ScalarField, sample_many, to_csv
+from .fields import ScalarField, sample_many
 
 _POINT_CHUNK = 32  # launch points vectorized together per batch
 
@@ -119,14 +119,12 @@ def sde_step(ens: ParticleEnsemble, velocity: VelocityField, ds: float) -> Parti
 class VarianceMap:
     """Per-launch-point ensemble variance of rho0 along the trajectories.
 
-    values holds the unbiased (ddof=1) variance.  second_moment keeps the
-    raw mean of rho0^2 and var_of_var the delta-method variance of the
-    variance estimator; both feed diagnostics and error bars.
+    values holds the unbiased (ddof=1) variance and var_of_var the
+    delta-method variance of that estimator, which feeds the error bars.
     """
 
     box: DomainBox
     values: np.ndarray
-    second_moment: np.ndarray | None = dc_field(default=None, repr=False)
     var_of_var: np.ndarray | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
@@ -135,10 +133,6 @@ class VarianceMap:
             raise ConfigError("variance map: grid shape mismatch")
         if np.any(self.values < 0):
             raise ConfigError("variance map: negative variance")
-
-    def to_csv(self) -> str:
-        """Same grid CSV layout as a scalar-field snapshot."""
-        return to_csv(ScalarField(self.box, self.values))
 
 
 def variance_integral(vmap: VarianceMap) -> float:
@@ -168,7 +162,7 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
 
     One loop serves every kappa.  At kappa = 0 the n trajectories from a
     point coincide, so it follows one, noise-free, and its moments give
-    exactly zero variance and var_of_var, and second_moment = mean^2.
+    exactly zero variance and var_of_var.
     """
     if n < 2:
         raise ConfigError(f"particles.n: need at least 2 trajectories, got {n}")
@@ -188,7 +182,6 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     n_points = box.nx * box.ny
     mean_vals = np.empty(n_points)
     var_vals = np.empty(n_points)
-    m2_raw = np.empty(n_points)
     vvar = np.empty(n_points)
 
     # kappa = 0: one trajectory per point, and no generators to batch by chunk
@@ -213,12 +206,9 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
         m4c = ((w - mu[:, None]) ** 4).mean(axis=1)
         mean_vals[idx] = mu
         var_vals[idx] = m2c * n / (n - 1)
-        m2_raw[idx] = (w * w).mean(axis=1)
         vvar[idx] = np.maximum(m4c / n - m2c * m2c * (n - 3) / (n * (n - 1)), 0.0)
 
     shape = (box.nx, box.ny)
     mean_field = ScalarField(box, mean_vals.reshape(shape))
-    vmap = VarianceMap(box, var_vals.reshape(shape),
-                       second_moment=m2_raw.reshape(shape),
-                       var_of_var=vvar.reshape(shape))
+    vmap = VarianceMap(box, var_vals.reshape(shape), var_of_var=vvar.reshape(shape))
     return mean_field, vmap

@@ -6,7 +6,7 @@ Crank-Nicolson diffusion applied in Fourier space, where every mode is
 updated exactly by the rational CN factor.  The combination is
 unconditionally stable, so long runs at small diffusivity are cheap.
 
-An explicit upwind scheme is kept as a cross-check backend; it is subject
+An explicit upwind scheme is kept as a cross-check; it is subject
 to the usual CFL restriction, validated before any compute.
 """
 from __future__ import annotations
@@ -106,14 +106,6 @@ class DecaySeries:
             raise ConfigError("series.times: must be strictly increasing")
         if np.any(self.norms_sq < 0):
             raise ConfigError("series.norms_sq: negative energy recorded")
-        if len(self.norms_sq) > 1:
-            slack = MONOTONE_TOL * self.norms_sq[0]
-            if np.any(np.diff(self.norms_sq) > slack):
-                i = int(np.argmax(np.diff(self.norms_sq)))
-                raise ConfigError(
-                    f"series.norms_sq: energy increased at t={self.times[i + 1]:.4g} "
-                    f"by {np.diff(self.norms_sq)[i]:.3e} (beyond solver tolerance)"
-                )
 
     def to_csv(self) -> str:
         return csv_text("t,norm_sq,dissipation",
@@ -189,14 +181,6 @@ def _checked_step(stepper, f: ScalarField) -> ScalarField:
             f"in one step (limit {GROWTH_LIMIT}x)"
         )
     return mean_zero_project(ScalarField(f.box, new_vals))
-
-
-def step(f: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> ScalarField:
-    """Advance one dt.  The input must be mean-zero."""
-    if not f.mean_zero:
-        raise ConfigError("solver.step: input field must be mean-zero "
-                          "(apply mean_zero_project first)")
-    return _checked_step(_make_stepper(f.box, velocity, cfg), f)
 
 
 def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> DecaySeries:

@@ -477,6 +477,8 @@ BAD_CONFIGS = [
     ("pde", ['solver.kappa="0.02"'], "solver.kappa"),
     ("fdr", ["particles.times=[0.25,true]"], "particles.times"),
     ("pde", ["initial.kind=sum", 'initial.terms=[[1,1,"ss",true]]'], "initial.terms"),
+    ("pde", ["output.dir=5"], "output.dir"),
+    ("pde", ["output.dir=[1]"], "output.dir"),
 ]
 
 
@@ -493,6 +495,36 @@ def test_bad_config_exits_2_before_compute(tmp_path, monkeypatch, capsys,
     assert main(argv) == 2
     assert named in capsys.readouterr().err
     assert calls == [] and not out.exists()
+
+
+BIG_INT = "1" * 5000  # more digits than Python converts from a string
+DEEP = "[" * 100000 + "]" * 100000  # nested deeper than the parser recurses
+# (argv before --out, text of input.json or None, text stderr must contain)
+BAD_JSON_CASES = [
+    (["pde", "--set", f"solver.kappa={BIG_INT}"], None, "solver.kappa"),
+    (["pde", "--set", f"solver.kappa={DEEP}"], None, "solver.kappa"),
+    (["pde", "--config", "input.json"], '{"solver": {"kappa": %s}}' % BIG_INT,
+     "input.json"),
+    (["pde", "--config", "input.json"], DEEP, "input.json"),
+    (["rerun", "input.json"], '{"experiment": "pde", "artifacts": {}, '
+     '"config": {"solver": {"kappa": %s}}}' % BIG_INT, "input.json"),
+    (["rerun", "input.json"], "5", "input.json"),
+]
+
+
+@pytest.mark.parametrize("argv,text,named", BAD_JSON_CASES,
+                         ids=["set-long-int", "set-deep", "config-long-int",
+                              "config-deep", "manifest-long-int",
+                              "manifest-not-object"])
+def test_unreadable_json_exits_2(tmp_path, monkeypatch, capsys, argv, text, named):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "input.json").write_text(text)
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not out.exists()
 
 
 def test_integral_float_reads_as_integer(tmp_path):

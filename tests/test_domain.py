@@ -4,52 +4,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisodiff.domain import (AnisotropyParams, DomainBox, VelocityField,
-                              divergence_residual, make_velocity, scaling_f,
-                              scaling_g)
+                              divergence_residual, make_velocity, profile)
 from anisodiff.errors import ConfigError
 
 
 class TestScalingFunctions:
+    """profile(s, m, eps) = (s^2 + eps^2)^(m/2): f with m = p, g with m = q."""
+
     def test_integer_exponent(self):
-        par = AnisotropyParams(p=2, q=3)
-        assert scaling_f(2.0, par, 0.0) == 4.0
-        assert scaling_g(-2.0, par, 0.0) == 8.0
+        assert profile(2.0, 2, 0.0) == 4.0
+        assert profile(-2.0, 3, 0.0) == 8.0
 
     def test_zero_at_origin(self):
-        par = AnisotropyParams(p=3, q=1)
-        assert scaling_f(0.0, par, 0.0) == 0.0
-        assert scaling_g(0.5, par, 0.0) == 0.5
+        assert profile(0.0, 3, 0.0) == 0.0
+        assert profile(0.5, 1, 0.0) == 0.5
 
     def test_regularized_values(self):
-        # (1 + 1)^(p/2) evaluated directly
-        assert scaling_f(1.0, AnisotropyParams(p=2, q=1), 1.0) == pytest.approx(2.0)
-        assert scaling_g(1.0, AnisotropyParams(p=1, q=4), 1.0) == pytest.approx(4.0)
+        # (1 + 1)^(m/2) evaluated directly
+        assert profile(1.0, 2, 1.0) == pytest.approx(2.0)
+        assert profile(1.0, 4, 1.0) == pytest.approx(4.0)
 
     @settings(max_examples=50, deadline=None)
-    @given(x=st.floats(-10, 10), p=st.floats(0.5, 5), eps=st.floats(0, 1))
-    def test_even_symmetry(self, x, p, eps):
-        par = AnisotropyParams(p=p, q=p)
-        assert scaling_f(x, par, eps) == scaling_f(-x, par, eps)
-        assert scaling_g(x, par, eps) == scaling_g(-x, par, eps)
+    @given(x=st.floats(-10, 10), m=st.floats(0.5, 5), eps=st.floats(0, 1))
+    def test_even_symmetry(self, x, m, eps):
+        assert profile(x, m, eps) == profile(-x, m, eps)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ConfigError):
-            scaling_f(1.0, AnisotropyParams(p=2, q=2), -0.1)
+            profile(1.0, 2, -0.1)
 
     def test_epsilon_continuity(self):
-        # pointwise convergence to |x|^p away from the origin
-        par = AnisotropyParams(p=1.5, q=2)
+        # pointwise convergence to |x|^m away from the origin
         x = 0.7
         exact = abs(x) ** 1.5
-        errors = [abs(scaling_f(x, par, eps) - exact)
+        errors = [abs(profile(x, 1.5, eps) - exact)
                   for eps in (1e-1, 1e-2, 1e-3, 1e-4)]
         assert errors == sorted(errors, reverse=True)
         assert errors[-1] < 1e-7
 
     def test_vectorized(self):
-        par = AnisotropyParams(p=2, q=2)
         x = np.array([-2.0, 0.0, 3.0])
-        assert np.allclose(scaling_f(x, par, 0.0), [4.0, 0.0, 9.0])
+        assert np.allclose(profile(x, 2, 0.0), [4.0, 0.0, 9.0])
 
 
 class TestParamValidation:
@@ -91,12 +86,10 @@ class TestMakeVelocity:
         assert float(ux) == pytest.approx(3.0, abs=1e-14)
         assert float(uy) == pytest.approx(-2.0, abs=1e-14)
 
-    def test_zero_amplitude_needs_flag(self):
-        par = AnisotropyParams(p=2, q=3)
-        with pytest.raises(ConfigError):
-            make_velocity(par, 0.0, 1e-3)
-        vel = make_velocity(par, 0.0, 1e-3, pure_diffusion=True)
-        assert vel.is_zero
+    def test_zero_amplitude_gives_zero_field(self):
+        # a pure-diffusion run: no regularization is needed without a flow
+        assert make_velocity(AnisotropyParams(p=2, q=3), 0.0, 1e-3) == VelocityField.zero()
+        assert make_velocity(AnisotropyParams(p=0.5, q=3), 0.0, 0.0) == VelocityField.zero()
 
     def test_small_exponent_needs_regularization(self):
         with pytest.raises(ConfigError):
@@ -110,12 +103,18 @@ class TestMakeVelocity:
         assert np.all(np.isfinite(ux)) and np.all(np.isfinite(uy))
 
     def test_stream_function_consistency(self):
-        # u = (psi_y, -psi_x) checked against central differences of psi
-        vel = make_velocity(AnisotropyParams(p=3, q=2), 0.7, 1e-2)
+        # u = (psi_y, -psi_x) checked against central differences of
+        # psi = A * f(x) * g(y), with f and g the p and q profiles
+        amp, p, q, eps = 0.7, 3, 2, 1e-2
+        vel = make_velocity(AnisotropyParams(p=p, q=q), amp, eps)
+
+        def psi(x, y):
+            return amp * profile(x, p, eps) * profile(y, q, eps)
+
         x, y = 0.4, -0.6
         d = 1e-6
-        psi_y = (vel.stream_function(x, y + d) - vel.stream_function(x, y - d)) / (2 * d)
-        psi_x = (vel.stream_function(x + d, y) - vel.stream_function(x - d, y)) / (2 * d)
+        psi_y = (psi(x, y + d) - psi(x, y - d)) / (2 * d)
+        psi_x = (psi(x + d, y) - psi(x - d, y)) / (2 * d)
         ux, uy = vel.velocity(x, y)
         assert float(ux) == pytest.approx(psi_y, rel=1e-6)
         assert float(uy) == pytest.approx(-psi_x, rel=1e-6)

@@ -185,14 +185,26 @@ class TestFeynmanKac:
         assert 1.4 < r2 < 2.9
 
     def test_variance_matches_moment_decomposition(self, box64):
-        # unbiased variance == (E[w^2] - E[w]^2) * n/(n-1) on the same draws
+        # mean and unbiased variance of rho0 at endpoints redrawn here, one
+        # point at a time, from each launch point's own substream
         rho = fourier_mode(box64, 1, 1)
         launch = DomainBox(1.0, 1.0, 8, 8)
-        n = 500
-        mean, vmap = feynman_kac(rho, VelocityField.zero(), t=0.3, kappa=0.05,
-                                 n=n, ds=0.01, seed=41, launch_box=launch)
-        reconstructed = (vmap.second_moment - mean.values ** 2) * n / (n - 1)
-        assert np.allclose(vmap.values, reconstructed, rtol=1e-9, atol=1e-12)
+        n, t, kappa, m, seed = 500, 0.3, 0.05, 30, 41
+        mean, vmap = feynman_kac(rho, VelocityField.zero(), t=t, kappa=kappa,
+                                 n=n, ds=t / m, seed=seed, launch_box=launch)
+        sig = np.sqrt(2.0 * kappa * t / m)
+        xg, yg = launch.grid()
+        expect_mean, expect_var = np.empty(xg.shape), np.empty(xg.shape)
+        for k, (x0, y0) in enumerate(zip(xg.ravel(), yg.ravel())):
+            g = _substream(seed, 0, k)
+            x, y = np.full(n, x0), np.full(n, y0)
+            for _ in range(m):
+                z = g.standard_normal((2, n))
+                x, y = launch.wrap_x(x + sig * z[0]), launch.wrap_y(y + sig * z[1])
+            w = sample_many(rho, x, y)
+            expect_mean.flat[k], expect_var.flat[k] = w.mean(), np.var(w, ddof=1)
+        assert np.allclose(mean.values, expect_mean, rtol=1e-9, atol=1e-12)
+        assert np.allclose(vmap.values, expect_var, rtol=1e-9, atol=1e-12)
 
 
 class TestSingleKernel:
@@ -215,7 +227,6 @@ class TestSingleKernel:
         mean, vmap = feynman_kac(rho, vel, **args)
         assert np.array_equal(mean.values, ref_mean.values)
         assert np.array_equal(vmap.values, ref_var.values)
-        assert np.array_equal(vmap.second_moment, ref_var.second_moment)
         assert np.array_equal(vmap.var_of_var, ref_var.var_of_var)
 
     @pytest.mark.parametrize("k", [0, 37, 79])
@@ -256,7 +267,6 @@ class TestZeroKappa:
         assert np.array_equal(mean.values, w)
         assert np.array_equal(vmap.values, np.zeros_like(w))
         assert np.array_equal(vmap.var_of_var, np.zeros_like(w))
-        assert np.array_equal(vmap.second_moment, w * w)
 
 
 class TestVarianceIntegral:
@@ -278,12 +288,3 @@ class TestVarianceIntegral:
         box = DomainBox(1.0, 1.0, 8, 8)
         with pytest.raises(ConfigError):
             variance_integral_stderr(VarianceMap(box, np.zeros((8, 8))))
-
-    def test_csv_uses_field_grid_format(self):
-        from anisodiff.fields import from_csv
-        box = DomainBox(1.0, 1.0, 8, 8)
-        vals = np.random.default_rng(0).uniform(0, 1, (8, 8))
-        vmap = VarianceMap(box, vals)
-        back = from_csv(vmap.to_csv())
-        assert back.box == box
-        assert np.array_equal(back.values, vals)

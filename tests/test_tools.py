@@ -1,14 +1,18 @@
+import importlib
 import importlib.util
 from pathlib import Path
 
+import anisodiff
 from anisodiff.manifest import sha256_file
 from anisodiff.cli import main
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "artifact_digests.py"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("artifact_digests", TOOL)
+def load_tool(path=TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -22,3 +26,22 @@ def test_artifact_digests_figures_case(tmp_path):
     expect = [f"figures 0 {name} {sha256_file(out / name)}"
               for name in ("fig1.csv", "fig1.svg", "fig2.csv", "fig2.svg")]
     assert lines == expect
+
+
+def test_public_names_resolve():
+    missing = [name for name in anisodiff.__all__ if not hasattr(anisodiff, name)]
+    assert missing == []
+
+
+def test_benchmark_span_targets_resolve():
+    # the benchmark's --trace rebinds these names; each must exist where it
+    # looks, as an attribute defined on the module or class itself
+    missing = []
+    for layer, modname, path, _ in load_tool(SPANS).TARGETS:
+        owner = importlib.import_module(modname)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        if not callable(vars(owner).get(attr)):
+            missing.append(f"{layer}: {modname}.{path}")
+    assert missing == []
