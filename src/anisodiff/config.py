@@ -24,7 +24,8 @@ from pathlib import Path
 from .analysis import check_checkpoint, check_sweep, check_window
 from .domain import AnisotropyParams, DomainBox, VelocityField, make_velocity
 from .errors import ConfigError
-from .fields import ScalarField, fourier_mode, fourier_sum, random_fourier_sum
+from .fields import (ScalarField, fourier_mode, fourier_sum, fourier_terms,
+                     random_fourier_sum)
 from .manifest import read_json_object
 from .solver import SolverConfig
 
@@ -210,7 +211,7 @@ def build_config(doc: dict) -> RunConfig:
                 _real(value, path)
         ini["terms"] = [[_integer(mx, "initial.terms"), _integer(my, "initial.terms"),
                          kind, _real(amp, "initial.terms")]
-                        for mx, my, kind, amp in ini["terms"]]
+                        for mx, my, kind, amp in fourier_terms(ini["terms"])]
         params = AnisotropyParams(p=dom["p"], q=dom["q"],
                                   alpha=dom["alpha"], beta=dom["beta"])
         box = DomainBox(half_width_x=float(dom["Lx"]), half_width_y=float(dom["Ly"]),

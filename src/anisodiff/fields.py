@@ -7,8 +7,10 @@ differences, second order in the grid spacing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from numbers import Real
 
 import numpy as np
+from scipy import sparse
 
 from .domain import DomainBox
 from .errors import ConfigError
@@ -56,6 +58,18 @@ def fourier_mode(box: DomainBox, mx: int = 1, my: int = 1,
     return mean_zero_project(ScalarField(box, vals))
 
 
+def fourier_terms(terms):
+    """terms, checked to be a list of [mx, my, kind, amp] with kind one of
+    ss, sc, cs, cc naming the sin/cos factor per axis and no mode number
+    below 1; whether the numbers are integers is the caller's check."""
+    if not isinstance(terms, (list, tuple)) or not all(
+            isinstance(t, (list, tuple)) and len(t) == 4 and t[2] in ("ss", "sc", "cs", "cc")
+            and not any(isinstance(m, Real) and m < 1 for m in t[:2]) for t in terms):
+        raise ConfigError(f"initial.terms: must be a list of [mx, my, kind, amp] with mode "
+                          f"numbers >= 1 and kind one of ss, sc, cs, cc, got {terms!r}")
+    return terms
+
+
 def _trig_sum(box: DomainBox, terms) -> np.ndarray:
     """Grid values of the sum over terms (mx, my, kind, amp) of
     amp * b1(mx pi x / Lx) * b2(my pi y / Ly), kind naming b1 b2 from s/c."""
@@ -64,12 +78,7 @@ def _trig_sum(box: DomainBox, terms) -> np.ndarray:
     ay = np.pi * yg / box.half_width_y
     basis = {"s": np.sin, "c": np.cos}
     vals = np.zeros_like(xg)
-    for mx, my, kind, amp in terms:
-        if mx < 1 or my < 1:
-            raise ConfigError(f"initial.terms: mode numbers must be >= 1, "
-                              f"got ({mx}, {my})")
-        if len(kind) != 2 or any(k not in basis for k in kind):
-            raise ConfigError(f"initial.terms: kind must be two of s/c, got {kind!r}")
+    for mx, my, kind, amp in fourier_terms(terms):
         vals += amp * basis[kind[0]](mx * ax) * basis[kind[1]](my * ay)
     return vals
 
@@ -114,12 +123,6 @@ def mean_zero_project(f: ScalarField) -> ScalarField:
     return ScalarField(f.box, vals, mean_zero=True)
 
 
-def _wavenumbers(box: DomainBox) -> tuple[np.ndarray, np.ndarray]:
-    kx = 2.0 * np.pi * np.fft.fftfreq(box.nx, d=box.hx)
-    ky = 2.0 * np.pi * np.fft.rfftfreq(box.ny, d=box.hy)
-    return kx, ky
-
-
 def difference_gradient(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Centered differences with periodic wraparound; O(h^2)."""
     v = f.values
@@ -134,24 +137,42 @@ def grad_norm_sq(f: ScalarField) -> float:
     return float(np.sum(dx * dx + dy * dy) * f.box.hx * f.box.hy)
 
 
+def stencil_matrix(box: DomainBox, i, j, offsets, weights) -> sparse.csr_matrix:
+    """CSR matrix on the flattened grid whose row r holds weights[r, k] at cell
+    (i[r] + di, j[r] + dj) mod the grid for the k-th offset (di, dj); a
+    matvec sums each row in offset order."""
+    rows, k = weights.shape
+    cols = np.empty((rows, k), dtype=np.int32)
+    for col, (di, dj) in zip(cols.T, offsets):
+        col[:] = (i + di) % box.nx * box.ny + (j + dj) % box.ny
+    return sparse.csr_matrix((weights.ravel(), cols.ravel(), np.arange(0, rows * k + 1, k)),
+                             shape=(rows, box.nx * box.ny))
+
+
+def bilinear_matrix(box: DomainBox, x, y) -> sparse.csr_matrix:
+    """Periodic bilinear interpolation as a sparse matrix: row r samples a
+    flattened field at the r-th point of the broadcast of x and y, with the
+    convex weights of cells (i0,j0), (i1,j0), (i0,j1), (i1,j1) in that order."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    sx = (x.ravel() - (-box.half_width_x + 0.5 * box.hx)) / box.hx
+    sy = (y.ravel() - (-box.half_width_y + 0.5 * box.hy)) / box.hy
+    i0, j0 = np.floor(sx), np.floor(sy)
+    wx, wy = sx - i0, sy - j0
+    corners = ((0, 0), (1, 0), (0, 1), (1, 1))
+    weights = np.empty((sx.size, 4))
+    for w, (di, dj) in zip(weights.T, corners):
+        w[:] = (wx if di else 1.0 - wx) * (wy if dj else 1.0 - wy)
+    return stencil_matrix(box, i0.astype(np.int64), j0.astype(np.int64), corners, weights)
+
+
 def sample_many(f: ScalarField, x, y) -> np.ndarray:
-    """Bilinear interpolation with periodic wraparound, vectorized."""
-    box = f.box
-    sx = (np.asarray(x, dtype=float) - (-box.half_width_x + 0.5 * box.hx)) / box.hx
-    sy = (np.asarray(y, dtype=float) - (-box.half_width_y + 0.5 * box.hy)) / box.hy
-    i0 = np.floor(sx).astype(np.int64)
-    j0 = np.floor(sy).astype(np.int64)
-    wx = sx - i0
-    wy = sy - j0
-    i0 %= box.nx
-    j0 %= box.ny
-    i1 = (i0 + 1) % box.nx
-    j1 = (j0 + 1) % box.ny
-    v = f.values
-    return ((1.0 - wx) * (1.0 - wy) * v[i0, j0]
-            + wx * (1.0 - wy) * v[i1, j0]
-            + (1.0 - wx) * wy * v[i0, j1]
-            + wx * wy * v[i1, j1])
+    """Bilinear interpolation with periodic wraparound at the points (x, y).
+
+    The values are bilinear_matrix(f.box, x, y) applied to the flattened
+    field, shaped like the broadcast of x and y (a scalar for scalars).
+    """
+    vals = bilinear_matrix(f.box, x, y) @ f.values.ravel()
+    return vals.reshape(np.broadcast(x, y).shape)[()]
 
 
 def to_csv(f: ScalarField) -> str:

@@ -1,13 +1,15 @@
 """Time integration of the drift-diffusion equation on the periodic box.
 
-Default scheme: semi-Lagrangian advection (backward characteristic tracing
-with a second-order midpoint rule and bilinear sampling) composed with
-Crank-Nicolson diffusion applied in Fourier space, where every mode is
-updated exactly by the rational CN factor.  The combination is
-unconditionally stable, so long runs at small diffusivity are cheap.
-
-An explicit upwind scheme is kept as a cross-check; it is subject
-to the usual CFL restriction, validated before any compute.
+The flow is steady and dt fixed, so one step of either scheme is a fixed
+map, built once per run: v <- irfft2(factor * rfft2(P v)) on the flattened
+field, with P a sparse matrix and factor a per-mode multiplier.  The default
+scheme, sl_cn, is semi-Lagrangian advection (P samples bilinearly at the
+departure points, traced back with a second-order midpoint rule) composed
+with Crank-Nicolson diffusion, every Fourier mode updated exactly by the
+rational CN factor; it is unconditionally stable, so long runs at small
+diffusivity are cheap.  The explicit upwind scheme, P = I + dt (kappa L_h -
+A_h) and no factor, is kept as a cross-check, subject to the usual CFL
+restriction, validated before any compute.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ import numpy as np
 
 from .domain import DomainBox, VelocityField
 from .errors import ConfigError, InstabilityError
-from .fields import (ScalarField, _wavenumbers, grad_norm_sq, l2_norm_sq,
-                     mean_zero_project, sample_many)
+from .fields import (ScalarField, bilinear_matrix, grad_norm_sq, l2_norm_sq,
+                     mean_zero_project, stencil_matrix)
 from .manifest import csv_text
 
 SCHEME_SL_CN = "sl_cn"
@@ -112,75 +114,42 @@ class DecaySeries:
                         zip(self.times, self.norms_sq, self.dissipation))
 
 
-class _SemiLagrangianCN:
-    """Cached machinery for repeated steps with one (field, velocity, cfg).
-
-    The flow is steady and dt fixed, so the midpoint-rule departure points
-    are traced once here; a step samples the field at them and applies the
-    per-mode CN factor.
-    """
-
-    def __init__(self, box: DomainBox, velocity: VelocityField, cfg: SolverConfig):
-        self.departure = None
-        if not velocity.is_zero:
-            dt = cfg.dt
-            xg, yg = box.grid()
-            ux, uy = velocity.velocity(xg, yg)
-            xm = box.wrap_x(xg - 0.5 * dt * ux)
-            ym = box.wrap_y(yg - 0.5 * dt * uy)
-            uxm, uym = velocity.velocity(xm, ym)
-            self.departure = (box.wrap_x(xg - dt * uxm), box.wrap_y(yg - dt * uym))
-        kx, ky = _wavenumbers(box)
-        a = 0.5 * cfg.kappa * cfg.dt * (kx[:, None] ** 2 + ky[None, :] ** 2)
-        self.cn_factor = (1.0 - a) / (1.0 + a)
-
-    def step_values(self, f: ScalarField) -> np.ndarray:
-        vals = f.values if self.departure is None else sample_many(f, *self.departure)
-        vh = np.fft.rfft2(vals)
-        vh *= self.cn_factor
-        return np.fft.irfft2(vh, s=vals.shape)
+def _departure_points(box: DomainBox, velocity: VelocityField, dt: float):
+    """Feet of the characteristics through the cell centers, traced back
+    over dt with the midpoint rule."""
+    xg, yg = box.grid()
+    ux, uy = velocity.velocity(xg, yg)
+    uxm, uym = velocity.velocity(box.wrap_x(xg - 0.5 * dt * ux), box.wrap_y(yg - 0.5 * dt * uy))
+    return box.wrap_x(xg - dt * uxm), box.wrap_y(yg - dt * uym)
 
 
-class _Upwind:
-    def __init__(self, box: DomainBox, velocity: VelocityField, cfg: SolverConfig):
-        self.box = box
-        self.kappa = cfg.kappa
-        self.dt = cfg.dt
-        xg, yg = box.grid()
-        ux, uy = velocity.velocity(xg, yg)
-        self.ux_p = np.maximum(ux, 0.0)
-        self.ux_m = np.minimum(ux, 0.0)
-        self.uy_p = np.maximum(uy, 0.0)
-        self.uy_m = np.minimum(uy, 0.0)
-
-    def step_values(self, f: ScalarField) -> np.ndarray:
-        v = f.values
-        hx, hy = self.box.hx, self.box.hy
-        adv = (self.ux_p * (v - np.roll(v, 1, axis=0))
-               + self.ux_m * (np.roll(v, -1, axis=0) - v)) / hx
-        adv += (self.uy_p * (v - np.roll(v, 1, axis=1))
-                + self.uy_m * (np.roll(v, -1, axis=1) - v)) / hy
-        lap = (np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)) / hx ** 2
-        lap += (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / hy ** 2
-        return v + self.dt * (self.kappa * lap - adv)
+def _upwind_matrix(box: DomainBox, velocity: VelocityField, cfg: SolverConfig):
+    """I + dt (kappa L_h - A_h): the five-point Laplacian and first-order
+    upwind advection, one row per cell."""
+    ux, uy = (u.ravel() for u in velocity.velocity(*box.grid()))
+    dx, dy = cfg.kappa / box.hx ** 2, cfg.kappa / box.hy ** 2
+    weights = np.empty((box.nx * box.ny, 5))
+    weights[:, 0] = 1.0 - cfg.dt * (2.0 * dx + 2.0 * dy + np.abs(ux) / box.hx
+                                    + np.abs(uy) / box.hy)
+    weights[:, 1] = cfg.dt * (dx + np.maximum(ux, 0.0) / box.hx)
+    weights[:, 2] = cfg.dt * (dx - np.minimum(ux, 0.0) / box.hx)
+    weights[:, 3] = cfg.dt * (dy + np.maximum(uy, 0.0) / box.hy)
+    weights[:, 4] = cfg.dt * (dy - np.minimum(uy, 0.0) / box.hy)
+    i, j = np.divmod(np.arange(box.nx * box.ny), box.ny)
+    return stencil_matrix(box, i, j, ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)), weights)
 
 
-def _make_stepper(box, velocity, cfg):
-    if cfg.scheme == SCHEME_SL_CN:
-        return _SemiLagrangianCN(box, velocity, cfg)
-    return _Upwind(box, velocity, cfg)
-
-
-def _checked_step(stepper, f: ScalarField) -> ScalarField:
-    old_max = np.max(np.abs(f.values))
-    new_vals = stepper.step_values(f)
-    new_max = np.max(np.abs(new_vals))
-    if not np.isfinite(new_max) or (old_max > 0 and new_max > GROWTH_LIMIT * old_max):
-        raise InstabilityError(
-            f"solver: max|rho| grew {new_max / old_max if old_max else np.inf:.3g}x "
-            f"in one step (limit {GROWTH_LIMIT}x)"
-        )
-    return mean_zero_project(ScalarField(f.box, new_vals))
+def _step_map(box: DomainBox, velocity: VelocityField, cfg: SolverConfig):
+    """(P, factor) of one step, as the module docstring sets out; None
+    stands for the identity P and for no factor."""
+    if cfg.scheme == SCHEME_UPWIND:
+        return _upwind_matrix(box, velocity, cfg), None
+    P = None if velocity.is_zero else bilinear_matrix(
+        box, *_departure_points(box, velocity, cfg.dt))
+    kx = 2.0 * np.pi * np.fft.fftfreq(box.nx, d=box.hx)
+    ky = 2.0 * np.pi * np.fft.rfftfreq(box.ny, d=box.hy)
+    a = 0.5 * cfg.kappa * cfg.dt * (kx[:, None] ** 2 + ky[None, :] ** 2)
+    return P, (1.0 - a) / (1.0 + a)
 
 
 def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> DecaySeries:
@@ -193,27 +162,33 @@ def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> DecayS
     if not rho0.mean_zero:
         raise ConfigError("solver.run: rho0 must be mean-zero")
     check_cfl(cfg, velocity, rho0.box)
-    stepper = _make_stepper(rho0.box, velocity, cfg)
+    P, factor = _step_map(rho0.box, velocity, cfg)
 
     n_steps = cfg.n_steps()
     f = rho0
-    max0 = np.max(np.abs(f.values))
+    max0 = old_max = np.max(np.abs(f.values))
     times = [0.0]
     norms = [l2_norm_sq(f)]
     grads = [grad_norm_sq(f)]
     diss = [0.0]
     for i in range(1, n_steps + 1):
-        try:
-            f = _checked_step(stepper, f)
-        except InstabilityError as exc:
-            raise InstabilityError(f"{exc} at t={i * cfg.dt:.6g}", time=i * cfg.dt) from None
-        if max0 > 0 and np.max(np.abs(f.values)) > GROWTH_LIMIT ** 2 * max0:
+        t = i * cfg.dt
+        vals = f.values if P is None else (P @ f.values.ravel()).reshape(f.values.shape)
+        if factor is not None:
+            vals = np.fft.irfft2(factor * np.fft.rfft2(vals), s=vals.shape)
+        new_max = np.max(np.abs(vals))
+        if not np.isfinite(new_max) or (old_max > 0 and new_max > GROWTH_LIMIT * old_max):
+            raise InstabilityError(
+                f"solver: max|rho| grew {new_max / old_max if old_max else np.inf:.3g}x "
+                f"in one step (limit {GROWTH_LIMIT}x) at t={t:.6g}", time=t)
+        f = mean_zero_project(ScalarField(f.box, vals))
+        old_max = np.max(np.abs(f.values))  # also the next step's old max
+        if max0 > 0 and old_max > GROWTH_LIMIT ** 2 * max0:
             # slow blow-up: no single step trips the breaker, the total does
             raise InstabilityError(
                 f"solver: max|rho| exceeded {GROWTH_LIMIT ** 2:g}x the initial "
-                f"value at t={i * cfg.dt:.6g}", time=i * cfg.dt)
+                f"value at t={t:.6g}", time=t)
         if i % cfg.record_every == 0 or i == n_steps:
-            t = i * cfg.dt
             g = grad_norm_sq(f)
             diss.append(diss[-1] + cfg.kappa * (t - times[-1]) * 0.5 * (grads[-1] + g))
             times.append(t)

@@ -90,13 +90,12 @@ class TestPde:
         assert not out.exists()
 
     def test_energy_growth_exits_3(self, tmp_path, monkeypatch):
+        from scipy import sparse
         from anisodiff import solver as solver_mod
 
-        class Growing:  # 1.01x per step: below the one-step breaker
-            def step_values(self, f):
-                return 1.01 * f.values
-
-        monkeypatch.setattr(solver_mod, "_make_stepper", lambda *a: Growing())
+        # 1.01x per step: below the one-step breaker
+        monkeypatch.setattr(solver_mod, "_step_map", lambda box, velocity, cfg: (
+            1.01 * sparse.identity(box.nx * box.ny), None))
         # 200 steps stay below the 100x total-growth breaker
         doc = dict(HEAT_CONFIG, solver=dict(HEAT_CONFIG["solver"], t_end=0.2))
         cfg = write_config(tmp_path, doc)
@@ -479,6 +478,11 @@ BAD_CONFIGS = [
     ("pde", ["initial.kind=sum", 'initial.terms=[[1,1,"ss",true]]'], "initial.terms"),
     ("pde", ["output.dir=5"], "output.dir"),
     ("pde", ["output.dir=[1]"], "output.dir"),
+    ("pde", ["initial.terms=[[1,1]]"], "initial.terms"),
+    ("pde", ["initial.terms=5"], "initial.terms"),
+    ("pde", ['initial.terms=[[1,1,"ss",1.0,7]]'], "initial.terms"),
+    ("pde", ["initial.terms=[[1,1,5,1.0]]"], "initial.terms"),
+    ("pde", ['initial.terms=[[0,1,"ss",1.0]]'], "initial.terms"),
 ]
 
 

@@ -2,14 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from anisodiff.domain import DomainBox, VelocityField, make_velocity
 from anisodiff.errors import ConfigError, InstabilityError
-from anisodiff.fields import (ScalarField, fourier_mode, l2_norm_sq,
+from anisodiff.fields import (ScalarField, bilinear_matrix, fourier_mode, l2_norm_sq,
                               mean_zero_project, random_fourier_sum, sample_many)
 from anisodiff import solver as solver_mod
-from anisodiff.solver import (DecaySeries, SolverConfig, _checked_step,
-                              _make_stepper, check_cfl, run)
+from anisodiff.solver import DecaySeries, SolverConfig, check_cfl, run
 
 MODE_EIGENVALUE = 2.0 * np.pi ** 2  # |k|^2 of sin(pi x) sin(pi y) on [-1,1)^2
 
@@ -271,17 +271,65 @@ class TestUpwindBackend:
         assert up.norms_sq[-1] < sl.norms_sq[-1]  # extra dissipation
 
 
+def roll_upwind_step(v, vel, box, kappa, dt):
+    """One explicit upwind step written with np.roll: the reference the
+    stencil matrix is checked against."""
+    ux, uy = vel.velocity(*box.grid())
+    hx, hy = box.hx, box.hy
+    adv = (np.maximum(ux, 0.0) * (v - np.roll(v, 1, axis=0))
+           + np.minimum(ux, 0.0) * (np.roll(v, -1, axis=0) - v)) / hx
+    adv += (np.maximum(uy, 0.0) * (v - np.roll(v, 1, axis=1))
+            + np.minimum(uy, 0.0) * (np.roll(v, -1, axis=1) - v)) / hy
+    lap = (np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)) / hx ** 2
+    lap += (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / hy ** 2
+    return v + dt * (kappa * lap - adv)
+
+
+class TestStepMap:
+    """The sparse step matrices keep the invariants the schemes rely on."""
+
+    @pytest.mark.parametrize("box", [DomainBox(1.0, 1.0, 64, 64),
+                                     DomainBox(0.7, 0.7, 24, 24)],
+                             ids=["64sq", "nondyadic24"])
+    def test_bilinear_rows_are_convex(self, box, params23):
+        x, y = solver_mod._departure_points(box, make_velocity(params23, 1.0, 1e-3), 0.05)
+        P = bilinear_matrix(box, x, y)
+        assert np.array_equal(np.diff(P.indptr), np.full(box.nx * box.ny, 4))
+        assert np.all((P.data >= 0.0) & (P.data <= 1.0))
+        assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 4 * np.finfo(float).eps
+        rho = random_fourier_sum(box, 3, seed=4)
+        assert np.array_equal(P @ rho.values.ravel(), sample_many(rho, x, y).ravel())
+
+    @pytest.mark.parametrize("box", [DomainBox(1.0, 1.0, 64, 64),
+                                     DomainBox(0.7, 1.0, 24, 16)],
+                             ids=["64sq", "rect24x16"])
+    def test_upwind_matrix_matches_roll_stencil(self, box, params23):
+        vel = make_velocity(params23, 0.3, 1e-3)
+        cfg = SolverConfig(kappa=0.05, dt=2e-3, t_end=1.0, scheme="upwind")
+        P, factor = solver_mod._step_map(box, vel, cfg)
+        assert factor is None
+        assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
+        rho = random_fourier_sum(box, 3, seed=4)
+        ref = mean_zero_project(ScalarField(box, roll_upwind_step(
+            rho.values, vel, box, cfg.kappa, cfg.dt)))
+        out = one_step(rho, vel, cfg)
+        assert np.max(np.abs(out.values - ref.values)) <= 1e-14 * np.max(np.abs(ref.values))
+
+
+def scaled_identity(c):
+    """A stand-in for solver._step_map whose step multiplies the field by c."""
+    return lambda box, velocity, cfg: (c * sparse.identity(box.nx * box.ny), None)
+
+
 class TestInstability:
-    def test_one_step_breaker(self, box64):
-        # deliberately violate the CFL precondition, which run would reject,
-        # by stepping the stepper directly
-        rho = fourier_mode(box64, 4, 4)
-        cfg = SolverConfig(kappa=10.0, dt=0.01, t_end=1.0, scheme="upwind")
-        stepper = _make_stepper(box64, VelocityField.zero(), cfg)
-        with pytest.raises(InstabilityError):
-            f = rho
-            for _ in range(50):
-                f = _checked_step(stepper, f)
+    def test_one_step_breaker(self, box64, monkeypatch):
+        # a step map that multiplies by 11 breaks the one-step limit at once
+        monkeypatch.setattr(solver_mod, "_step_map", scaled_identity(11.0))
+        cfg = SolverConfig(kappa=0.01, dt=0.01, t_end=1.0)
+        with pytest.raises(InstabilityError) as err:
+            run(fourier_mode(box64, 4, 4), VelocityField.zero(), cfg)
+        assert err.value.time == pytest.approx(cfg.dt)
+        assert "in one step" in str(err.value)
 
     def test_run_reports_time_of_failure(self):
         # both CFL bounds individually respected, but their sum is unstable:
@@ -301,18 +349,12 @@ class TestInstability:
         assert err.value.time is not None and err.value.time > 0
 
 
-class GrowingStepper:
-    """Multiplies the field by 1.01 per step: below the one-step breaker."""
-
-    def step_values(self, f):
-        return 1.01 * f.values
-
-
 class TestEnergyGrowth:
     """A rising energy series is a numerical failure, not a config error."""
 
     def test_run_raises_instability(self, box64, monkeypatch):
-        monkeypatch.setattr(solver_mod, "_make_stepper", lambda *a: GrowingStepper())
+        # 1.01x per step: below the one-step breaker
+        monkeypatch.setattr(solver_mod, "_step_map", scaled_identity(1.01))
         cfg = SolverConfig(kappa=0.01, dt=0.01, t_end=0.5, record_every=5)
         with pytest.raises(InstabilityError) as err:
             run(fourier_mode(box64, 1, 1), VelocityField.zero(), cfg)
