@@ -80,12 +80,37 @@ class DomainBox:
         return np.meshgrid(self.x_centers(), self.y_centers(), indexing="ij")
 
     def wrap_x(self, x):
-        lx = self.half_width_x
-        return np.mod(np.asarray(x) + lx, 2.0 * lx) - lx
+        """x folded into [-Lx, Lx), with the bits of numpy's floored
+        remainder mod(x + Lx, 2 Lx) - Lx for every input.
+
+        An array whose every x + Lx lies in [-2 Lx, 4 Lx), about one period
+        either side of the box, is folded by at most one period; 0-d input,
+        an empty array, NaN, inf or any point farther out sends the whole
+        call to numpy's remainder.
+        """
+        return _wrap(x, self.half_width_x)
 
     def wrap_y(self, y):
-        ly = self.half_width_y
-        return np.mod(np.asarray(y) + ly, 2.0 * ly) - ly
+        """y folded into [-Ly, Ly); the contract of wrap_x with Ly."""
+        return _wrap(y, self.half_width_y)
+
+
+def _wrap(s, half: float):
+    """mod(s + half, 2 half) - half, bit for bit as numpy computes it.
+
+    With every t = s + half in [-2 half, 4 half), subtracting the period
+    where t >= period and adding it where t < 0 gives numpy's bits: there
+    fmod(t, period) is t or the exact t - period (Sterbenz), and numpy's
+    remainder adds the period once to a negative fmod.  The range check
+    fails for NaN and inf, so they take the remainder too.
+    """
+    period = 2.0 * half
+    t = np.asarray(s) + half
+    if t.ndim == 0 or t.size == 0 or not (-period <= t.min() and t.max() < 2.0 * period):
+        return np.mod(t, period) - half
+    np.subtract(t, period, out=t, where=t >= period)
+    np.add(t, period, out=t, where=t < 0.0)
+    return t - half
 
 
 def _pow_half(base, half_exponent: float):

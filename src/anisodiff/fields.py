@@ -149,29 +149,50 @@ def stencil_matrix(box: DomainBox, i, j, offsets, weights) -> sparse.csr_matrix:
                              shape=(rows, box.nx * box.ny))
 
 
-def bilinear_matrix(box: DomainBox, x, y) -> sparse.csr_matrix:
-    """Periodic bilinear interpolation as a sparse matrix: row r samples a
-    flattened field at the r-th point of the broadcast of x and y, with the
-    convex weights of cells (i0,j0), (i1,j0), (i0,j1), (i1,j1) in that order."""
+_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _bilinear_cells(box: DomainBox, x, y):
+    """Base cells (i0, j0) of the broadcast points, not yet wrapped, and a
+    (4, points) array of the convex weights of cells (i0,j0), (i1,j0),
+    (i0,j1), (i1,j1), where i1 = i0 + 1 and j1 = j0 + 1."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     sx = (x.ravel() - (-box.half_width_x + 0.5 * box.hx)) / box.hx
     sy = (y.ravel() - (-box.half_width_y + 0.5 * box.hy)) / box.hy
     i0, j0 = np.floor(sx), np.floor(sy)
     wx, wy = sx - i0, sy - j0
-    corners = ((0, 0), (1, 0), (0, 1), (1, 1))
-    weights = np.empty((sx.size, 4))
-    for w, (di, dj) in zip(weights.T, corners):
+    weights = np.empty((4, sx.size))
+    for w, (di, dj) in zip(weights, _CORNERS):
         w[:] = (wx if di else 1.0 - wx) * (wy if dj else 1.0 - wy)
-    return stencil_matrix(box, i0.astype(np.int64), j0.astype(np.int64), corners, weights)
+    return i0.astype(np.int64), j0.astype(np.int64), weights
+
+
+def bilinear_matrix(box: DomainBox, x, y) -> sparse.csr_matrix:
+    """Periodic bilinear interpolation as a sparse matrix: row r samples a
+    flattened field at the r-th point of the broadcast of x and y, with the
+    convex weights of cells (i0,j0), (i1,j0), (i0,j1), (i1,j1) in that order."""
+    i0, j0, weights = _bilinear_cells(box, x, y)
+    return stencil_matrix(box, i0, j0, _CORNERS, weights.T)
 
 
 def sample_many(f: ScalarField, x, y) -> np.ndarray:
     """Bilinear interpolation with periodic wraparound at the points (x, y).
 
-    The values are bilinear_matrix(f.box, x, y) applied to the flattened
-    field, shaped like the broadcast of x and y (a scalar for scalars).
+    The four weighted gathers are summed in bilinear_matrix's row order, so
+    the values equal bilinear_matrix(f.box, x, y) @ f.values.ravel(), shaped
+    like the broadcast of x and y (a scalar for scalars).
     """
-    vals = bilinear_matrix(f.box, x, y) @ f.values.ravel()
+    box = f.box
+    i0, j0, w = _bilinear_cells(box, x, y)
+    i0 %= box.nx
+    j0 %= box.ny
+    i1 = i0 + 1
+    i1[i1 == box.nx] = 0
+    j1 = j0 + 1
+    j1[j1 == box.ny] = 0
+    r0, r1 = i0 * box.ny, i1 * box.ny
+    v = f.values.ravel()
+    vals = w[0] * v[r0 + j0] + w[1] * v[r1 + j0] + w[2] * v[r0 + j1] + w[3] * v[r1 + j1]
     return vals.reshape(np.broadcast(x, y).shape)[()]
 
 

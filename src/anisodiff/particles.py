@@ -11,6 +11,10 @@ forward in its own time variable realizes the stochastic representation
 of the drift-diffusion equation.  One kernel, _em_step, performs this
 update for both sde_step and feynman_kac; each caller scales its own noise.
 
+For u = 0 the wrapped chain is exactly wrap(x0 + sqrt(2 kappa t) xi) in
+law, so feynman_kac takes one step of the whole time t there and ds is
+unused; every other field takes round(t/ds) steps.
+
 Randomness is counter-based: each launch point owns a Philox substream
 keyed by (seed, stream, flat point index), so results are bit-identical
 no matter how the points are batched or parallelized.
@@ -156,7 +160,9 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     From every cell center of launch_box (default: rho0's grid), n
     trajectories integrate backward time t in equal Euler-Maruyama steps
     of size ~ds with drift -u; rho0 is then bilinearly sampled at the
-    endpoints.
+    endpoints.  A zero field takes one exact step of size t, one
+    (2, n) draw per launch point, and leaves ds unused beyond the check
+    that it lies in (0, t].
     Returns the ensemble-mean field (the estimate of rho at time t) and
     the per-point variance map.
 
@@ -173,7 +179,7 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     if kappa < 0:
         raise ConfigError(f"particles.kappa: must be >= 0, got {kappa}")
     box = launch_box if launch_box is not None else rho0.box
-    m = max(1, int(round(t / ds)))
+    m = 1 if velocity.is_zero else max(1, int(round(t / ds)))
     ds_eff = t / m
     sig = np.sqrt(2.0 * kappa * ds_eff)
 

@@ -73,6 +73,47 @@ class TestParamValidation:
         assert box.wrap_y(-1.25) == pytest.approx(0.75)
 
 
+def mod_wrap(s, half):
+    """The wrap reference: numpy's floored remainder."""
+    return np.mod(np.asarray(s) + half, 2.0 * half) - half
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestWrapBits:
+    """wrap_x and wrap_y give the bits of mod_wrap, on the fold and off it."""
+
+    @pytest.mark.parametrize("half", [1.0, 0.7])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_mod_within_five_periods(self, half, data):
+        reach = data.draw(st.sampled_from([3.0, 10.0])) * half
+        s = np.array(data.draw(st.lists(st.floats(-reach, reach), min_size=1,
+                                        max_size=50)))
+        box = DomainBox(half, half, 8, 8)
+        assert_same_bits(box.wrap_x(s), mod_wrap(s, half))
+        assert_same_bits(box.wrap_y(s), mod_wrap(s, half))
+
+    @pytest.mark.parametrize("half", [1.0, 0.7, 1.0 / 3.0, 2.5, 1e-3])
+    def test_edge_values(self, half):
+        box = DomainBox(half, 2.0 * half, 8, 8)
+        edges = []
+        for v in (half, -half, 3.0 * half, -3.0 * half):
+            edges += [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
+        edges = np.array(edges + [0.0, -0.0, 1e-300, -1e-300])
+        cases = [edges, edges.reshape(4, 4), np.append(edges, np.nan),
+                 np.append(edges, np.inf), np.append(edges, -np.inf),
+                 np.array([]), np.array(-0.0), np.array(half), half, -half, 0.25]
+        with np.errstate(invalid="ignore"):     # np.mod of inf
+            for s in cases:
+                assert_same_bits(box.wrap_x(s), mod_wrap(s, box.half_width_x))
+                assert_same_bits(box.wrap_y(s), mod_wrap(s, box.half_width_y))
+
+
 class TestMakeVelocity:
     def test_zero_at_origin(self):
         vel = make_velocity(AnisotropyParams(p=2, q=3), 1.0, 0.0)

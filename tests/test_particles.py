@@ -186,25 +186,41 @@ class TestFeynmanKac:
 
     def test_variance_matches_moment_decomposition(self, box64):
         # mean and unbiased variance of rho0 at endpoints redrawn here, one
-        # point at a time, from each launch point's own substream
+        # point at a time, from each launch point's own substream: u = 0
+        # takes one exact step of the whole time t, whatever ds is
         rho = fourier_mode(box64, 1, 1)
         launch = DomainBox(1.0, 1.0, 8, 8)
         n, t, kappa, m, seed = 500, 0.3, 0.05, 30, 41
         mean, vmap = feynman_kac(rho, VelocityField.zero(), t=t, kappa=kappa,
                                  n=n, ds=t / m, seed=seed, launch_box=launch)
-        sig = np.sqrt(2.0 * kappa * t / m)
+        sig = np.sqrt(2.0 * kappa * t)
         xg, yg = launch.grid()
         expect_mean, expect_var = np.empty(xg.shape), np.empty(xg.shape)
         for k, (x0, y0) in enumerate(zip(xg.ravel(), yg.ravel())):
-            g = _substream(seed, 0, k)
-            x, y = np.full(n, x0), np.full(n, y0)
-            for _ in range(m):
-                z = g.standard_normal((2, n))
-                x, y = launch.wrap_x(x + sig * z[0]), launch.wrap_y(y + sig * z[1])
+            z = _substream(seed, 0, k).standard_normal((2, n))
+            x = launch.wrap_x(np.full(n, x0) + sig * z[0])
+            y = launch.wrap_y(np.full(n, y0) + sig * z[1])
             w = sample_many(rho, x, y)
             expect_mean.flat[k], expect_var.flat[k] = w.mean(), np.var(w, ddof=1)
         assert np.allclose(mean.values, expect_mean, rtol=1e-9, atol=1e-12)
         assert np.allclose(vmap.values, expect_var, rtol=1e-9, atol=1e-12)
+
+
+class TestExactDiffusion:
+    """u = 0 takes one exact step of the whole time t: ds does not matter."""
+
+    @pytest.mark.parametrize("box", [DomainBox(1.0, 1.0, 32, 32),
+                                     DomainBox(0.7, 0.7, 24, 24)], ids=["32", "24_L0.7"])
+    def test_step_size_does_not_change_bits(self, box):
+        rho = random_fourier_sum(box, 3, seed=9)
+        t = 0.4
+        runs = [feynman_kac(rho, VelocityField.zero(), t, 0.05, n=64, ds=ds, seed=13)
+                for ds in (t, t / 7, t / 30)]
+        (ref_mean, ref_var), *others = runs
+        for mean, vmap in others:
+            assert np.array_equal(mean.values, ref_mean.values)
+            assert np.array_equal(vmap.values, ref_var.values)
+            assert np.array_equal(vmap.var_of_var, ref_var.var_of_var)
 
 
 class TestSingleKernel:

@@ -55,6 +55,10 @@ CASES = {
     "pde_shear": ("pde", {**PDE, "domain.family": "shear"}),
     "sde_k0.05": ("sde", {**SDE, "solver.kappa": 0.05}),
     "sde_k0": ("sde", {**SDE, "solver.kappa": 0.0}),
+    # steps longer than the box: DomainBox's wrap takes its np.mod fallback
+    "sde_far": ("sde", {**SDE, "domain.amplitude": 100.0, "particles.ds": 0.05,
+                        "particles.t": 0.5, "particles.x0": 0.9, "particles.y0": 0.8,
+                        "solver.kappa": 0.05}),
     "fdr_stream_k0.05": ("fdr", {**FDR, "solver.kappa": 0.05}),
     "fdr_stream_k0": ("fdr", {**FDR, "solver.kappa": 0.0}),
     "fdr_shear_k0.05": ("fdr", {**FDR, "domain.family": "shear", "solver.kappa": 0.05}),
