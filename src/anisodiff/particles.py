@@ -21,6 +21,8 @@ no matter how the points are batched or parallelized.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -30,6 +32,13 @@ from .errors import ConfigError
 from .fields import ScalarField, sample_many
 
 _POINT_CHUNK = 32  # launch points vectorized together per batch
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the worker count of feynman_kac."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _substream(seed: int, stream: int, index: int) -> np.random.Generator:
@@ -169,6 +178,11 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     One loop serves every kappa.  At kappa = 0 the n trajectories from a
     point coincide, so it follows one, noise-free, and its moments give
     exactly zero variance and var_of_var.
+
+    Chunks of _POINT_CHUNK launch points run on one thread per available
+    CPU (at most one per chunk).  Every point draws from its own substream,
+    so the result is bit-identical for any thread count; the chunk memory
+    in flight grows with it.
     """
     if n < 2:
         raise ConfigError(f"particles.n: need at least 2 trajectories, got {n}")
@@ -194,17 +208,20 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     noisy = kappa > 0.0
     chunk = _POINT_CHUNK if noisy else n_points
     n_traj = n if noisy else 1
-    for start in range(0, n_points, chunk):
+
+    def run_chunk(start: int) -> None:
         idx = np.arange(start, min(start + chunk, n_points))
         gens = [_substream(seed, stream, int(k)) for k in idx] if noisy else []
         p = len(idx)
         x = np.repeat(xc[idx // box.ny], n_traj).reshape(p, n_traj)
         y = np.repeat(yc[idx % box.ny], n_traj).reshape(p, n_traj)
         z = np.empty((p, 2, n_traj))
+        noise = (z[:, 0], z[:, 1]) if noisy else ()   # views of z, refilled each step
         for _ in range(m):
-            for row, g in enumerate(gens):
-                z[row] = g.standard_normal((2, n))
-            noise = (sig * z[:, 0], sig * z[:, 1]) if noisy else ()
+            if noisy:
+                for row, g in enumerate(gens):
+                    g.standard_normal(out=z[row])
+                z *= sig
             x, y = _em_step(box, velocity, x, y, ds_eff, *noise)
         w = sample_many(rho0, x, y)
         mu = w.mean(axis=1)
@@ -213,6 +230,12 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
         mean_vals[idx] = mu
         var_vals[idx] = m2c * n / (n - 1)
         vvar[idx] = np.maximum(m4c / n - m2c * m2c * (n - 3) / (n * (n - 1)), 0.0)
+
+    # Each chunk writes only its own idx slice, so the chunks may run in any
+    # order on any thread; numpy releases the GIL in the draws and arithmetic.
+    starts = range(0, n_points, chunk)
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(starts))) as pool:
+        list(pool.map(run_chunk, starts))
 
     shape = (box.nx, box.ny)
     mean_field = ScalarField(box, mean_vals.reshape(shape))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -235,15 +237,25 @@ class TestSingleKernel:
 
     @pytest.mark.parametrize("chunk", [1, 5, 32, 1000])
     def test_feynman_kac_batching_invariant(self, stream_case, monkeypatch, chunk):
+        """Neither the chunk size nor the worker count changes a bit.  At
+        chunk 32 the 80 launch points end in a short chunk of 16."""
         rho, vel, launch = stream_case
         args = dict(t=0.2, kappa=0.05, n=60, ds=0.02, seed=17, launch_box=launch,
                     stream=3)
+        monkeypatch.setattr(particles, "_cpu_count", lambda: 1)
         ref_mean, ref_var = feynman_kac(rho, vel, **args)
         monkeypatch.setattr(particles, "_POINT_CHUNK", chunk)
-        mean, vmap = feynman_kac(rho, vel, **args)
-        assert np.array_equal(mean.values, ref_mean.values)
-        assert np.array_equal(vmap.values, ref_var.values)
-        assert np.array_equal(vmap.var_of_var, ref_var.var_of_var)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave the worker threads finely
+        try:
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(particles, "_cpu_count", lambda w=workers: w)
+                mean, vmap = feynman_kac(rho, vel, **args)
+                assert np.array_equal(mean.values, ref_mean.values), workers
+                assert np.array_equal(vmap.values, ref_var.values), workers
+                assert np.array_equal(vmap.var_of_var, ref_var.var_of_var), workers
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("k", [0, 37, 79])
     def test_sde_step_reproduces_feynman_kac_point(self, stream_case, k):

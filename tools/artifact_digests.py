@@ -60,6 +60,9 @@ CASES = {
                         "particles.t": 0.5, "particles.x0": 0.9, "particles.y0": 0.8,
                         "solver.kappa": 0.05}),
     "fdr_stream_k0.05": ("fdr", {**FDR, "solver.kappa": 0.05}),
+    # 100 launch points: four chunks, the last of 4 points
+    "fdr_stream_ragged_k0.05": ("fdr", {**FDR, "solver.kappa": 0.05,
+                                        "particles.grid_nx": 10, "particles.grid_ny": 10}),
     "fdr_stream_k0": ("fdr", {**FDR, "solver.kappa": 0.0}),
     "fdr_shear_k0.05": ("fdr", {**FDR, "domain.family": "shear", "solver.kappa": 0.05}),
     "fdr_zero_k0.05": ("fdr", {**FDR, "domain.family": "zero", "solver.kappa": 0.05}),
