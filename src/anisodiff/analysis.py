@@ -22,6 +22,7 @@ from numbers import Rational
 import numpy as np
 from scipy import stats
 
+from . import particles
 from .domain import AnisotropyParams, VelocityField
 from .errors import ConfigError, FitWindowError, InsufficientDecayError, SweepError
 from .fields import ScalarField
@@ -120,6 +121,8 @@ class DecayFit:
 
 def check_window(window, name: str = "fit.window") -> tuple[float, float]:
     """Validate a fit window (lo, hi) of energy fractions: 0 < lo < hi < 1."""
+    if len(window) != 2:
+        raise ConfigError(f"{name}: need two values (lo, hi), got {len(window)}")
     lo, hi = window
     if not (0.0 < lo < hi < 1.0):
         raise ConfigError(f"{name}: need 0 < lo < hi < 1, got ({lo}, {hi})")
@@ -220,30 +223,21 @@ class ExponentFit:
                         zip(self.kappas, self.rates, self.rate_stderrs, self.fit_r2s))
 
 
-def _sweep_one(args):
-    rho0, velocity, cfg, window = args
-    series = run(rho0, velocity, cfg)
-    return fit_decay(series, window)
-
-
-def _outcome(fn, *args):
-    """fn(*args), or the exception it raised (sweep failures are per kappa)."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # noqa: BLE001 - reported per kappa by sweep_and_fit
-        return exc
+def _sweep_one(rho0, velocity, cfg, window):
+    return fit_decay(run(rho0, velocity, cfg), window)
 
 
 def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
                   base_cfg: SolverConfig, params: AnisotropyParams | None = None,
-                  n_jobs: int = 1, window: tuple[float, float] = DEFAULT_FIT_WINDOW,
+                  window: tuple[float, float] = DEFAULT_FIT_WINDOW,
                   dts=None, t_ends=None) -> ExponentFit:
     """Run the solver (solver.run) once per kappa, fit each decay, regress the rates.
 
-    Runs are independent; with n_jobs > 1 they execute in separate
-    processes, at most one per kappa, and are merged by kappa index.
-    Individual fit failures are tolerated up to half the sweep, then a
-    SweepError carries the causes.
+    Runs are independent and execute in a process pool of
+    min(CPUs this process may use, number of kappas) workers, the count
+    feynman_kac uses for its threads; results are merged by kappa index,
+    so the pool size cannot change a bit.  Individual fit failures are
+    tolerated up to half the sweep, then a SweepError carries the causes.
 
     dts / t_ends, when given, override base_cfg per kappa (one entry per
     kappa).  Fast decays need finer sampling, slow ones run much cheaper
@@ -258,15 +252,13 @@ def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
     if t_ends is None:
         t_ends = [base_cfg.t_end] * len(kappas)
 
-    jobs = [(rho0, velocity, replace(base_cfg, kappa=k, dt=float(dt), t_end=float(te)),
-             window)
-            for k, dt, te in zip(kappas, dts, t_ends)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs))) as pool:
-            futures = [pool.submit(_sweep_one, j) for j in jobs]
-            results = [_outcome(fut.result) for fut in futures]
-    else:
-        results = [_outcome(_sweep_one, j) for j in jobs]
+    with ProcessPoolExecutor(max_workers=min(particles._cpu_count(), len(kappas))) as pool:
+        futures = [pool.submit(_sweep_one, rho0, velocity,
+                               replace(base_cfg, kappa=k, dt=float(dt), t_end=float(te)),
+                               window)
+                   for k, dt, te in zip(kappas, dts, t_ends)]
+        # a failed run yields its exception: sweep failures are per kappa
+        results = [fut.exception() or fut.result() for fut in futures]
 
     failures = {k: r for k, r in zip(kappas, results) if isinstance(r, Exception)}
     if failures:
@@ -301,36 +293,53 @@ class FdrResult:
     rhs_stderr: float
 
 
-def check_checkpoint(t: float, dt: float) -> None:
-    """Reject an FDR checkpoint t that is not a whole number of solver steps dt."""
-    if abs(round(t / dt) * dt - t) > 1e-9 * abs(t):
-        raise ConfigError(f"fdr.t: checkpoint {t} is not a whole number of "
-                          f"solver steps dt={dt}")
+def check_checkpoint(times, dt: float, record_every: int) -> list[float]:
+    """The FDR checkpoints, sorted: each a whole number of solver steps dt
+    and, but for the last, of record_every steps, so one run records all."""
+    times = sorted(float(t) for t in times)
+    if not times:
+        raise ConfigError("particles.times: fdr needs at least one checkpoint")
+    for t in times:
+        steps = round(t / dt)
+        if abs(steps * dt - t) > 1e-9 * abs(t):
+            raise ConfigError(f"particles.times: checkpoint {t} is not a whole number "
+                              f"of solver steps dt={dt}")
+        if t < times[-1] and steps % record_every:
+            raise ConfigError(f"particles.times: checkpoint {t} is not a recorded "
+                              f"sample, a whole number of record_every * dt "
+                              f"= {record_every} * {dt}")
+    return times
 
 
-def fdr_check(rho0: ScalarField, velocity: VelocityField, kappa: float, t: float,
+def fdr_check(rho0: ScalarField, velocity: VelocityField, kappa: float, times,
               dt: float, n: int, ds: float, seed: int, record_every: int = 10,
-              launch_box=None, stream: int = 0) -> FdrResult:
-    """Cumulative dissipation (PDE side) vs variance integral (particle side).
+              launch_box=None) -> list[FdrResult]:
+    """Cumulative dissipation (PDE side) vs variance integral (particle side),
+    one FdrResult per checkpoint, in increasing t.
 
-    lhs = kappa * integral of ||grad rho||^2 up to t from the solver
-    (centered-difference gradient, as in solver.run);
-    rhs = integral of the trajectory-endpoint variance map.  The ratio is
-    reported, not asserted: lhs/rhs is 0.5 when the dissipation identity
-    carries its usual factor 2, and both conventions appear in practice.
-    t must be a whole number of solver steps dt, so that both sides are
-    taken at the same time.
+    lhs = kappa * integral of ||grad rho||^2 up to t, read from one solver
+    run to the last checkpoint (centered-difference gradient, as in
+    solver.run); rhs = integral of the trajectory-endpoint variance map of
+    one feynman_kac call per checkpoint, on the substream of its index.
+    The ratio is reported, not asserted: lhs/rhs is 0.5 when the
+    dissipation identity carries its usual factor 2, and both conventions
+    appear in practice.  The checkpoints must pass check_checkpoint.
     """
-    check_checkpoint(t, dt)
-    cfg = SolverConfig(kappa=kappa, dt=dt, t_end=t, record_every=record_every)
+    times = check_checkpoint(times, dt, record_every)
+    cfg = SolverConfig(kappa=kappa, dt=dt, t_end=times[-1], record_every=record_every)
     series = run(rho0, velocity, cfg)
-    lhs = float(series.dissipation[-1])
-    _, vmap = feynman_kac(rho0, velocity, t, kappa, n, ds, seed,
-                          launch_box=launch_box, stream=stream)
-    rhs = variance_integral(vmap)
-    stderr = variance_integral_stderr(vmap)
-    ratio = lhs / rhs if rhs != 0.0 else float("nan")
-    return FdrResult(t=float(t), lhs=lhs, rhs=rhs, ratio=ratio, rhs_stderr=stderr)
+    results = []
+    for index, t in enumerate(times):
+        steps = round(t / dt)  # off the record stride only as the run's final sample
+        lhs = float(series.dissipation[-1 if steps % record_every else
+                                       steps // record_every])
+        _, vmap = feynman_kac(rho0, velocity, t, kappa, n, ds, seed,
+                              launch_box=launch_box, stream=index)
+        rhs = variance_integral(vmap)
+        ratio = lhs / rhs if rhs != 0.0 else float("nan")
+        results.append(FdrResult(t=t, lhs=lhs, rhs=rhs, ratio=ratio,
+                                 rhs_stderr=variance_integral_stderr(vmap)))
+    return results
 
 
 def _fmt_exponent(value) -> str:

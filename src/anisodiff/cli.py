@@ -115,19 +115,16 @@ def cmd_sde(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_fdr(cfg: RunConfig) -> dict[str, str]:
+    """One solver run to the last checkpoint, one Feynman-Kac call per checkpoint."""
     par = cfg.doc["particles"]
-    times = sorted(float(t) for t in par["times"])
-    rho0 = cfg.initial_field()
-    launch = cfg.launch_box()
-    results = []
-    for idx, t in enumerate(times):
-        res = fdr_check(rho0, cfg.velocity, cfg.solver.kappa, t,
-                        dt=cfg.solver.dt, n=par["n"], ds=float(par["ds"]),
-                        seed=par["seed"], record_every=cfg.solver.record_every,
-                        launch_box=launch, stream=idx)
+    results = fdr_check(cfg.initial_field(), cfg.velocity, cfg.solver.kappa,
+                        par["times"], dt=cfg.solver.dt, n=par["n"],
+                        ds=float(par["ds"]), seed=par["seed"],
+                        record_every=cfg.solver.record_every,
+                        launch_box=cfg.launch_box())
+    for res in results:
         if not (np.isfinite(res.lhs) and np.isfinite(res.rhs)):
-            raise InstabilityError(f"fdr: non-finite estimate at t={t}")
-        results.append(res)
+            raise InstabilityError(f"fdr: non-finite estimate at t={res.t}")
     return {
         "fdr.csv": csv_text("t,lhs,rhs,ratio",
                             [(r.t, r.lhs, r.rhs, r.ratio) for r in results]),
@@ -140,8 +137,7 @@ def cmd_sweep(cfg: RunConfig) -> dict[str, str]:
     sweep = cfg.doc["sweep"]
     rho0 = cfg.initial_field()
     fit = sweep_and_fit(sweep["kappas"], rho0, cfg.velocity, cfg.solver,
-                        params=cfg.params, n_jobs=sweep["jobs"],
-                        window=tuple(sweep["window"]),
+                        params=cfg.params, window=tuple(sweep["window"]),
                         dts=sweep["dts"], t_ends=sweep["t_ends"])
     line = np.exp(fit.intercept) * fit.kappas ** fit.slope
     return {

@@ -11,7 +11,10 @@ float, nothing else (no bool, string, NaN or infinity).  initial.amplitude
 scales every kind of initial field, a sum's terms included.  The initial
 field is built during validation.  A rerun merges its manifest's config
 over the defaults exactly as a config file is merged, so a manifest that
-holds a field this version does not know is rejected like a config file.
+holds a field this version does not know, such as one an earlier
+version had, is rejected like a config file.  So is each
+`--set a.b=value`: it is merged as the document {"a": {"b": value}}, so a
+whole section may be set, and the merge names any unknown field.
 """
 from __future__ import annotations
 
@@ -48,8 +51,7 @@ DEFAULTS = {
     },
     "sweep": {
         "kappas": [1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1],
-        "dts": None, "t_ends": None, "jobs": 1,
-        "window": [0.1, 0.9],
+        "dts": None, "t_ends": None, "window": [0.1, 0.9],
     },
     "particles": {
         "n": 10000, "ds": 0.005, "seed": 12345, "t": 1.0,
@@ -65,7 +67,6 @@ _INTEGER_FIELDS = {
     "domain.nx": None, "domain.ny": None, "solver.record_every": None,
     "initial.mx": None, "initial.my": None, "initial.max_mode": None, "initial.seed": 0,
     "particles.n": 2, "particles.seed": 0, "particles.grid_nx": 8, "particles.grid_ny": 8,
-    "sweep.jobs": 1,
 }
 
 # every float field
@@ -94,23 +95,18 @@ def _merge(base: dict, extra: dict, path="") -> dict:
     return out
 
 
-def _apply_override(doc: dict, assignment: str) -> None:
+def _apply_override(doc: dict, assignment: str) -> dict:
+    """doc with one --set key.path=value merged in, by the rule of _merge."""
     if "=" not in assignment:
         raise ConfigError(f"config.--set: expected key.path=value, got {assignment!r}")
     key, _, raw = assignment.partition("=")
-    parts = key.strip().split(".")
-    node = doc
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"config.--set: unknown section {key!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if leaf not in node:
-        raise ConfigError(f"config.--set: unknown field {key!r}")
     try:
-        node[leaf] = json.loads(raw)
+        value = json.loads(raw)
     except (ValueError, RecursionError):
-        node[leaf] = raw  # a bare string, or a value the field's reader rejects by name
+        value = raw  # a bare string, or a value the field's reader rejects by name
+    for part in reversed(key.strip().split(".")):
+        value = {part: value}
+    return _merge(doc, value)
 
 
 @dataclass
@@ -224,14 +220,10 @@ def build_config(doc: dict) -> RunConfig:
             if not float(par[field]) > 0.0:
                 raise ConfigError(f"particles.{field}: must be > 0, got {par[field]}")
         if experiment == "fdr":
-            times = [float(t) for t in par["times"]]
-            if not times:
-                raise ConfigError("particles.times: fdr needs at least one checkpoint")
-            for t in times:
-                check_checkpoint(t, solver.dt)
-            if float(par["ds"]) > min(times):
+            first = check_checkpoint(par["times"], solver.dt, solver.record_every)[0]
+            if float(par["ds"]) > first:
                 raise ConfigError(f"particles.ds: must not exceed the earliest "
-                                  f"checkpoint {min(times)}, got {par['ds']}")
+                                  f"checkpoint {first}, got {par['ds']}")
         check_sweep(sweep["kappas"], sweep["dts"], sweep["t_ends"])
         check_window(sweep["window"], "sweep.window")
         outdir = doc["output"]["dir"]
@@ -257,5 +249,5 @@ def load_config(path: str | Path | None = None, overrides=(),
     if path is not None:
         doc = _merge(doc, read_json_object(path, "config"))
     for assignment in overrides:
-        _apply_override(doc, assignment)
+        doc = _apply_override(doc, assignment)
     return build_config(doc)

@@ -35,7 +35,8 @@ _POINT_CHUNK = 32  # launch points vectorized together per batch
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on: the worker count of feynman_kac."""
+    """CPUs this process may run on: the most workers feynman_kac and
+    analysis.sweep_and_fit start."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

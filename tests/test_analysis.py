@@ -13,7 +13,7 @@ from anisodiff.domain import AnisotropyParams, DomainBox, VelocityField, make_ve
 from anisodiff.errors import (ConfigError, FitWindowError,
                               InsufficientDecayError, SweepError)
 from anisodiff.fields import fourier_mode
-from anisodiff.solver import DecaySeries, SolverConfig
+from anisodiff.solver import DecaySeries, SolverConfig, run
 
 
 class TestTheoreticalExponent:
@@ -151,7 +151,7 @@ class TestFitPowerLaw:
             fit_power_law([1e-2, 1e-1, 1.0], [1.0, -2.0, 3.0])
 
 
-def scale_invariant_sweep(box, kappas, **kw):
+def scale_invariant_sweep(box, kappas):
     """u = 0 sweep where kappa * dt is constant, so the discrete decay is
     the same sequence at every kappa and the fitted slope is exactly 1."""
     rho = fourier_mode(box, 1, 1)
@@ -160,7 +160,7 @@ def scale_invariant_sweep(box, kappas, **kw):
     t_ends = [0.07 / k for k in kappas]
     return sweep_and_fit(kappas, rho, VelocityField.zero(), cfg,
                          params=AnisotropyParams(p=2, q=3),
-                         dts=dts, t_ends=t_ends, **kw)
+                         dts=dts, t_ends=t_ends)
 
 
 class TestSweepAndFit:
@@ -191,17 +191,24 @@ class TestSweepAndFit:
         assert a.slope == b.slope and a.intercept == b.intercept
         assert np.array_equal(a.rates, b.rates)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # the pool size follows _cpu_count, and no size may change a bit
+        from anisodiff import particles
+
         box = DomainBox(1.0, 1.0, 32, 32)
-        a = scale_invariant_sweep(box, [1e-3, 5e-3, 2e-2, 1e-1])
-        b = scale_invariant_sweep(box, [1e-3, 5e-3, 2e-2, 1e-1], n_jobs=2)
-        assert np.array_equal(a.rates, b.rates)
-        assert a.slope == b.slope
+        fits = []
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(particles, "_cpu_count", lambda w=workers: w)
+            fits.append(scale_invariant_sweep(box, [1e-3, 5e-3, 2e-2, 1e-1]))
+        for fit in fits[1:]:
+            assert np.array_equal(fit.rates, fits[0].rates)
+            assert np.array_equal(fit.rate_stderrs, fits[0].rate_stderrs)
+            assert fit.slope == fits[0].slope
 
     def test_pool_never_larger_than_sweep(self, monkeypatch):
         from concurrent.futures import Future
 
-        from anisodiff import analysis
+        from anisodiff import analysis, particles
 
         sizes = []
 
@@ -215,14 +222,15 @@ class TestSweepAndFit:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, arg):
+            def submit(self, fn, *args):
                 fut = Future()
-                fut.set_result(fn(arg))
+                fut.set_result(fn(*args))
                 return fut
 
         monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(particles, "_cpu_count", lambda: 64)
         box = DomainBox(1.0, 1.0, 32, 32)
-        fit = scale_invariant_sweep(box, [1e-3, 5e-3, 2e-2, 1e-1], n_jobs=64)
+        fit = scale_invariant_sweep(box, [1e-3, 5e-3, 2e-2, 1e-1])
         assert sizes == [4]
         assert abs(fit.slope - 1.0) <= max(fit.ci95, 1e-6)
 
@@ -263,8 +271,8 @@ class TestFdrCheck:
     def test_zero_kappa_both_sides_zero(self, box64, params23):
         rho = fourier_mode(box64, 1, 1)
         vel = make_velocity(params23, 0.5, 1e-3)
-        res = fdr_check(rho, vel, kappa=0.0, t=0.5, dt=0.01, n=100, ds=0.01,
-                        seed=3, record_every=1)
+        res = fdr_check(rho, vel, kappa=0.0, times=[0.5], dt=0.01, n=100, ds=0.01,
+                        seed=3, record_every=1)[0]
         assert res.lhs == 0.0
         assert res.rhs == 0.0
         assert np.isnan(res.ratio)
@@ -273,15 +281,38 @@ class TestFdrCheck:
         # t = 1.0 is 333.33 steps of 3e-3: the PDE side would stop at 0.999
         rho = fourier_mode(box64, 1, 1)
         with pytest.raises(ConfigError, match="whole number of solver steps"):
-            fdr_check(rho, VelocityField.zero(), kappa=0.05, t=1.0, dt=3e-3,
+            fdr_check(rho, VelocityField.zero(), kappa=0.05, times=[1.0], dt=3e-3,
                       n=100, ds=0.01, seed=3)
+
+    def test_checkpoint_off_record_stride_rejected(self, box64):
+        # 0.25 is 25 steps of 0.01: no sample of a record_every = 10 run
+        rho = fourier_mode(box64, 1, 1)
+        with pytest.raises(ConfigError, match="particles.times: checkpoint 0.25"):
+            fdr_check(rho, VelocityField.zero(), kappa=0.05, times=[0.25, 0.5],
+                      dt=0.01, n=10, ds=0.01, seed=3, record_every=10)
+
+    @pytest.mark.parametrize("times", [[1.0, 0.5], [0.5, 0.95]])
+    def test_one_run_matches_a_run_per_checkpoint(self, params23, times):
+        # 0.95 is off the record stride, allowed as the last checkpoint:
+        # the run ends there, and the final step is always recorded
+        box = DomainBox(1.0, 1.0, 32, 32)
+        rho = fourier_mode(box, 1, 1)
+        vel = make_velocity(params23, 0.5, 1e-3)
+        results = fdr_check(rho, vel, kappa=0.05, times=times, dt=0.01, n=4,
+                            ds=0.05, seed=3, record_every=10,
+                            launch_box=DomainBox(1.0, 1.0, 8, 8))
+        assert [r.t for r in results] == sorted(times)
+        for res in results:
+            series = run(rho, vel, SolverConfig(kappa=0.05, dt=0.01, t_end=res.t,
+                                                record_every=10))
+            assert res.lhs == float(series.dissipation[-1])
 
     def test_diffusion_only_ratio_near_half(self, box64):
         # analytic: rhs = ||rho0||^2 - ||rho(t)||^2 = 2 lhs for u = 0
         rho = fourier_mode(box64, 1, 1)
         launch = DomainBox(1.0, 1.0, 16, 16)
-        res = fdr_check(rho, VelocityField.zero(), kappa=0.05, t=0.5, dt=2e-3,
-                        n=1500, ds=5e-3, seed=7, launch_box=launch)
+        res = fdr_check(rho, VelocityField.zero(), kappa=0.05, times=[0.5], dt=2e-3,
+                        n=1500, ds=5e-3, seed=7, launch_box=launch)[0]
         print(f"\nfdr: lhs={res.lhs:.4f} rhs={res.rhs:.4f} ratio={res.ratio:.4f} "
               f"(rhs stderr {res.rhs_stderr:.4f})")
         assert res.ratio == pytest.approx(0.5, abs=0.05)

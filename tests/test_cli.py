@@ -234,8 +234,8 @@ class TestFdr:
         from anisodiff.analysis import FdrResult
 
         def broken(*args, **kwargs):
-            return FdrResult(t=0.25, lhs=float("nan"), rhs=1.0, ratio=float("nan"),
-                             rhs_stderr=0.0)
+            return [FdrResult(t=0.25, lhs=float("nan"), rhs=1.0, ratio=float("nan"),
+                              rhs_stderr=0.0)]
 
         monkeypatch.setattr(cli_mod, "fdr_check", broken)
         cfg = write_config(tmp_path, self.make_doc(0.05))
@@ -253,6 +253,15 @@ class TestFdr:
         assert main(["fdr", "--config", cfg, "--out", str(out)]) == 2
         assert "particles.ds" in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    def test_one_solver_run_for_all_checkpoints(self, tmp_path, monkeypatch):
+        calls = count_solver_runs(monkeypatch)
+        cfg = write_config(tmp_path, self.make_doc(0.05))
+        out = tmp_path / "fdr"
+        assert main(["fdr", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 1 and calls[0][2].t_end == 0.5
+        _, rows = read_csv(out / "fdr.csv")
+        assert list(rows[:, 0]) == [0.25, 0.5]
 
 
 SWEEP_DOC = {
@@ -296,14 +305,6 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(out),
                      "--set", "sweep.window=[0.9,0.1]"]) == 2
         assert calls == [] and not out.exists()
-
-    @pytest.mark.parametrize("jobs", ["abc", "0", "1.5"])
-    def test_bad_jobs_exits_2(self, tmp_path, jobs):
-        cfg = write_config(tmp_path, SWEEP_DOC)
-        out = tmp_path / "x"
-        assert main(["sweep", "--config", cfg, "--out", str(out),
-                     "--set", f"sweep.jobs={jobs}"]) == 2
-        assert not out.exists()
 
 
 class TestRerunAndDeterminism:
@@ -373,6 +374,18 @@ class TestRerunAndDeterminism:
         out2 = tmp_path / "f2"
         assert main(["rerun", str(manifest), "--out", str(out2)]) == 2
         assert not out2.exists()
+
+    def test_removed_jobs_field_exits_2(self, tmp_path, capsys):
+        # the sweep sizes its process pool from the CPUs it may use
+        cfg = write_config(tmp_path, SWEEP_DOC)
+        out = tmp_path / "x"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--set", "sweep.jobs=2"]) == 2
+        assert "config.sweep.jobs: unknown field" in capsys.readouterr().err
+        _, manifest = self.edited_manifest(tmp_path, lambda c: c["sweep"].update(jobs=1))
+        assert main(["rerun", str(manifest), "--out", str(out)]) == 2
+        assert "config.sweep.jobs: unknown field" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_experiment_must_match_config(self, tmp_path):
         cfg = write_config(tmp_path, dict(HEAT_CONFIG, solver=dict(
@@ -483,6 +496,15 @@ BAD_CONFIGS = [
     ("pde", ['initial.terms=[[1,1,"ss",1.0,7]]'], "initial.terms"),
     ("pde", ["initial.terms=[[1,1,5,1.0]]"], "initial.terms"),
     ("pde", ['initial.terms=[[0,1,"ss",1.0]]'], "initial.terms"),
+    ("sweep", ["sweep=5"], "config.sweep: expected a section"),
+    ("pde", ["solver=5"], "config.solver: expected a section"),
+    ("pde", ['solver={"kappa":"x"}'], "solver.kappa"),
+    ("pde", ['domain={"nx":64.5}'], "domain.nx"),
+    ("sweep", ['sweep={"jobs":2}'], "config.sweep.jobs: unknown field"),
+    ("pde", ["solver.kappa.x=1"], "solver.kappa"),
+    ("sweep", ["sweep.window=[0.1,0.5,0.9]"], "sweep.window"),
+    ("fdr", ["particles.times=[0.25,0.5]", "solver.record_every=10"],
+     "particles.times"),
 ]
 
 
@@ -499,6 +521,22 @@ def test_bad_config_exits_2_before_compute(tmp_path, monkeypatch, capsys,
     assert main(argv) == 2
     assert named in capsys.readouterr().err
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("section", ["domain={}", "output={}", 'solver={"kappa":0.5}'])
+def test_set_whole_section_merges(tmp_path, section):
+    # a --set merges like a config file: the section's other fields keep their values
+    assert main(["figures", "--out", str(tmp_path / "x"), "--set", section]) == 0
+
+
+def test_set_section_equals_set_field(tmp_path):
+    configs = []
+    for assignment in ('solver={"kappa":0.5}', "solver.kappa=0.5"):
+        out = tmp_path / str(len(configs))
+        assert main(["figures", "--out", str(out), "--set", assignment]) == 0
+        configs.append(load_manifest(out / "manifest.json")["config"])
+    assert configs[0] == configs[1]
+    assert configs[0]["solver"]["kappa"] == 0.5
 
 
 BIG_INT = "1" * 5000  # more digits than Python converts from a string

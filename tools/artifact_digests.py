@@ -71,6 +71,10 @@ CASES = {
                                           "solver.kappa": 0.05}),
     "fdr_zero_non_dyadic_k0": ("fdr", {**FDR, **NON_DYADIC, "domain.family": "zero",
                                        "solver.kappa": 0.0}),
+    # shaped like the fdr_heat benchmark: the earlier checkpoint on the record stride
+    "fdr_heat_stride10": ("fdr", {**FDR, "domain.family": "zero", "solver.kappa": 0.05,
+                                  "solver.dt": 2e-3, "solver.record_every": 10,
+                                  "particles.ds": 0.01, "particles.times": [0.5, 1.0]}),
     "sweep_zero": ("sweep", {**SWEEP, "domain.family": "zero"}),
     "sweep_stream": ("sweep", {**SWEEP, "domain.family": "stream"}),
     "sweep_upwind": ("sweep", {**SWEEP, "domain.family": "zero",
