@@ -306,6 +306,17 @@ class TestSweep:
                      "--set", "sweep.window=[0.9,0.1]"]) == 2
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["abc", "0", "1.5"])
+    def test_bad_jobs_exits_2(self, tmp_path, capsys, jobs):
+        # the sweep sizes its process pool from the CPUs it may use, so
+        # any sweep.jobs is refused as an unknown field
+        cfg = write_config(tmp_path, SWEEP_DOC)
+        out = tmp_path / "x"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--set", f"sweep.jobs={jobs}"]) == 2
+        assert "config.sweep.jobs: unknown field" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRerunAndDeterminism:
     def test_figures_rerun_byte_identical(self, tmp_path):
@@ -376,12 +387,7 @@ class TestRerunAndDeterminism:
         assert not out2.exists()
 
     def test_removed_jobs_field_exits_2(self, tmp_path, capsys):
-        # the sweep sizes its process pool from the CPUs it may use
-        cfg = write_config(tmp_path, SWEEP_DOC)
         out = tmp_path / "x"
-        assert main(["sweep", "--config", cfg, "--out", str(out),
-                     "--set", "sweep.jobs=2"]) == 2
-        assert "config.sweep.jobs: unknown field" in capsys.readouterr().err
         _, manifest = self.edited_manifest(tmp_path, lambda c: c["sweep"].update(jobs=1))
         assert main(["rerun", str(manifest), "--out", str(out)]) == 2
         assert "config.sweep.jobs: unknown field" in capsys.readouterr().err
