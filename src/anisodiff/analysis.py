@@ -4,7 +4,7 @@ Rates are always fitted on the squared norm ||rho(t)||^2, restricted to
 the window where it has fallen to between 90% and 10% of the initial
 value (the transient before and the noise floor after are excluded).
 The sweep regression is ordinary least squares on (ln kappa, ln rate)
-with a t-distribution confidence interval on the slope.
+with a Student-t confidence interval on the slope (scipy.special.stdtrit).
 
 Two exponent families are kept side by side on purpose: the theoretical
 rate exponent p*q/(p+q+2) and the exponent family p/(p+q) that the
@@ -20,7 +20,7 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import particles
 from .domain import AnisotropyParams, VelocityField
@@ -151,6 +151,22 @@ def check_sweep(kappas, dts=None, t_ends=None):
     return (kappas, *ladders)
 
 
+def _linregress(x, y):
+    """(slope, intercept, r, slope stderr) of the least-squares line through
+    (x, y), n >= 3 and x not constant, in scipy.stats.linregress's own
+    arithmetic and order, so every value matches it bit for bit.  scipy.stats
+    itself is not imported: loading it takes longer than a small command."""
+    xmean, ymean = np.mean(x), np.mean(y)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))
+    return slope, ymean - slope * xmean, r, stderr
+
+
 def fit_decay(series: DecaySeries,
               window: tuple[float, float] = DEFAULT_FIT_WINDOW) -> DecayFit:
     """Least-squares line through (t, ln ||rho||^2) inside the fit window."""
@@ -172,11 +188,10 @@ def fit_decay(series: DecaySeries,
         )
     t = series.times[mask]
     y = np.log(norms[mask])
-    res = stats.linregress(t, y)
-    return DecayFit(rate=float(-res.slope), prefactor=float(np.exp(res.intercept)),
+    slope, intercept, r, stderr = _linregress(t, y)
+    return DecayFit(rate=float(-slope), prefactor=float(np.exp(intercept)),
                     window=(float(t[0]), float(t[-1])),
-                    r_squared=float(res.rvalue ** 2),
-                    rate_stderr=float(res.stderr))
+                    r_squared=float(r ** 2), rate_stderr=float(stderr))
 
 
 def fit_power_law(kappas, rates) -> tuple[float, float, float, float]:
@@ -187,11 +202,10 @@ def fit_power_law(kappas, rates) -> tuple[float, float, float, float]:
         raise ConfigError("power fit: need >= 3 matched (kappa, rate) pairs")
     if np.any(kappas <= 0) or np.any(rates <= 0):
         raise ConfigError("power fit: kappas and rates must be positive")
-    res = stats.linregress(np.log(kappas), np.log(rates))
-    dof = kappas.size - 2
-    tcrit = float(stats.t.ppf(0.975, dof))
-    stderr = float(res.stderr) if np.isfinite(res.stderr) else 0.0
-    return float(res.slope), float(res.intercept), tcrit * stderr, float(res.rvalue ** 2)
+    slope, intercept, r, stderr = _linregress(np.log(kappas), np.log(rates))
+    tcrit = float(stdtrit(kappas.size - 2, 0.975))
+    stderr = float(stderr) if np.isfinite(stderr) else 0.0
+    return float(slope), float(intercept), tcrit * stderr, float(r ** 2)
 
 
 @dataclass
@@ -295,10 +309,14 @@ class FdrResult:
 
 def check_checkpoint(times, dt: float, record_every: int) -> list[float]:
     """The FDR checkpoints, sorted: each a whole number of solver steps dt
-    and, but for the last, of record_every steps, so one run records all."""
+    and, but for the last, of record_every steps, so one run records all;
+    the last, the run's t_end, no shorter than record_every * dt."""
     times = sorted(float(t) for t in times)
     if not times:
         raise ConfigError("particles.times: fdr needs at least one checkpoint")
+    if record_every * dt > times[-1] * (1 + 1e-12):
+        raise ConfigError(f"particles.times: the last checkpoint {times[-1]} is shorter "
+                          f"than record_every * dt = {record_every} * {dt}")
     for t in times:
         steps = round(t / dt)
         if abs(steps * dt - t) > 1e-9 * abs(t):

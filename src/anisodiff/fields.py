@@ -52,9 +52,9 @@ def fourier_mode(box: DomainBox, mx: int = 1, my: int = 1,
     """sin(pi mx x / Lx) * sin(pi my y / Ly), mean-zero by symmetry."""
     if mx < 1 or my < 1:
         raise ConfigError(f"initial.mode: mode numbers must be >= 1, got ({mx}, {my})")
-    xg, yg = box.grid()
-    vals = amplitude * np.sin(np.pi * mx * xg / box.half_width_x) \
-        * np.sin(np.pi * my * yg / box.half_width_y)
+    sx = np.sin(np.pi * mx * box.x_centers() / box.half_width_x)
+    sy = np.sin(np.pi * my * box.y_centers() / box.half_width_y)
+    vals = np.multiply.outer(amplitude * sx, sy)
     return mean_zero_project(ScalarField(box, vals))
 
 
@@ -72,14 +72,14 @@ def fourier_terms(terms):
 
 def _trig_sum(box: DomainBox, terms) -> np.ndarray:
     """Grid values of the sum over terms (mx, my, kind, amp) of
-    amp * b1(mx pi x / Lx) * b2(my pi y / Ly), kind naming b1 b2 from s/c."""
-    xg, yg = box.grid()
-    ax = np.pi * xg / box.half_width_x
-    ay = np.pi * yg / box.half_width_y
+    amp * b1(mx pi x / Lx) * b2(my pi y / Ly), kind naming b1 b2 from s/c;
+    each factor is evaluated on its axis, the product on the grid."""
+    ax = np.pi * box.x_centers() / box.half_width_x
+    ay = np.pi * box.y_centers() / box.half_width_y
     basis = {"s": np.sin, "c": np.cos}
-    vals = np.zeros_like(xg)
+    vals = np.zeros((box.nx, box.ny))
     for mx, my, kind, amp in fourier_terms(terms):
-        vals += amp * basis[kind[0]](mx * ax) * basis[kind[1]](my * ay)
+        vals += np.multiply.outer(amp * basis[kind[0]](mx * ax), basis[kind[1]](my * ay))
     return vals
 
 

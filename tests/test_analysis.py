@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import stdtrit
 
-from anisodiff.analysis import (DecayFit, ExponentFit, exponent_report,
+from anisodiff.analysis import (DecayFit, ExponentFit, _linregress, exponent_report,
                                 fdr_check, figure1_curve, figure1_exponent,
                                 figure2_surface, fit_decay, fit_power_law,
                                 sweep_and_fit, theoretical_exponent)
@@ -149,6 +151,57 @@ class TestFitPowerLaw:
             fit_power_law([1e-2, 1e-1], [1.0, 2.0])
         with pytest.raises(ConfigError):
             fit_power_law([1e-2, 1e-1, 1.0], [1.0, -2.0, 3.0])
+
+
+FIT_FLOATS = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@st.composite
+def regression_data(draw):
+    """n >= 3 points with x not constant: free y, y exactly on a line, or
+    constant y."""
+    xs = draw(st.lists(FIT_FLOATS, min_size=3, max_size=40).filter(lambda v: len(set(v)) > 1))
+    kind = draw(st.sampled_from(["free", "line", "constant"]))
+    if kind == "free":
+        ys = draw(st.lists(FIT_FLOATS, min_size=len(xs), max_size=len(xs)))
+    elif kind == "line":
+        a, b = draw(FIT_FLOATS), draw(FIT_FLOATS)
+        ys = [a * x + b for x in xs]
+    else:
+        ys = [draw(FIT_FLOATS)] * len(xs)
+    return np.array(xs), np.array(ys)
+
+
+# exactly collinear (x, y, r): the raw r rounds past +1 and -1
+_X_UP, _X_DOWN = np.array([0.3, -2.8, 1.5, 0.2, -1.0]), np.array([-1.1, 1.1, -1.9])
+CLIPPED = [(_X_UP, 1.7 * _X_UP - 0.8, 1.0), (_X_DOWN, -0.6 * _X_DOWN - 2.0, -1.0)]
+
+
+class TestLinregress:
+    """_linregress stands in for scipy.stats.linregress, which the package
+    no longer imports; it must give the same bits."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=regression_data())
+    @example(data=CLIPPED[0][:2])
+    @example(data=CLIPPED[1][:2])
+    @example(data=(np.array([0.0, 1.0, 3.0]), np.full(3, 2.0)))
+    def test_bit_equal_to_scipy(self, data):
+        x, y = data
+        with np.errstate(all="ignore"):
+            ref = stats.linregress(x, y)
+            got = _linregress(x, y)
+        expect = (ref.slope, ref.intercept, ref.rvalue, ref.stderr)
+        assert all(np.array_equal(np.float64(g), np.float64(e), equal_nan=True)
+                   for g, e in zip(got, expect)), (got, expect)
+
+    @pytest.mark.parametrize("x,y,r", CLIPPED, ids=["up", "down"])
+    def test_collinear_r_is_clipped(self, x, y, r):
+        assert _linregress(x, y)[2] == r
+
+    def test_t_quantile_matches_scipy(self):
+        assert [dof for dof in range(1, 201)
+                if stdtrit(dof, 0.975) != stats.t.ppf(0.975, dof)] == []
 
 
 def scale_invariant_sweep(box, kappas):

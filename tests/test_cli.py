@@ -254,6 +254,18 @@ class TestFdr:
         assert "particles.ds" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
+    def test_last_checkpoint_shorter_than_record_stride_exits_2_before_compute(
+            self, tmp_path, monkeypatch, capsys):
+        calls = count_solver_runs(monkeypatch)
+        doc = self.make_doc(0.05)
+        doc["solver"].update(dt=0.001, record_every=10)
+        doc["particles"].update(times=[0.005], ds=0.001)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "short"
+        assert main(["fdr", "--config", cfg, "--out", str(out)]) == 2
+        assert "particles.times" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_one_solver_run_for_all_checkpoints(self, tmp_path, monkeypatch):
         calls = count_solver_runs(monkeypatch)
         cfg = write_config(tmp_path, self.make_doc(0.05))

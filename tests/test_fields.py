@@ -273,3 +273,13 @@ def test_random_fourier_sum_matches_per_pair_loop(box):
     expect = mean_zero_project(ScalarField(box, vals))
     got = random_fourier_sum(box, max_mode, seed, amplitude=amplitude)
     assert np.array_equal(got.values, expect.values)
+
+
+@pytest.mark.parametrize("box", [DomainBox(0.7, 0.7, 24, 24), DomainBox(1.5, 1.0, 16, 32)],
+                         ids=["24_L0.7", "16x32"])
+def test_fourier_mode_matches_grid_formula(box):
+    xg, yg = box.grid()
+    vals = 0.8 * np.sin(np.pi * 3 * xg / box.half_width_x) \
+        * np.sin(np.pi * 2 * yg / box.half_width_y)
+    expect = mean_zero_project(ScalarField(box, vals))
+    assert np.array_equal(fourier_mode(box, 3, 2, 0.8).values, expect.values)

@@ -1,5 +1,8 @@
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import anisodiff
@@ -31,6 +34,16 @@ def test_artifact_digests_figures_case(tmp_path):
 def test_public_names_resolve():
     missing = [name for name in anisodiff.__all__ if not hasattr(anisodiff, name)]
     assert missing == []
+
+
+def test_cli_import_loads_no_scipy_stats():
+    # importing scipy.stats costs every command more than the rest of its imports
+    code = ("import sys, anisodiff.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_benchmark_span_targets_resolve():
