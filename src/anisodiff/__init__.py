@@ -4,7 +4,7 @@ Subpackages:
     domain    -- anisotropy parameters, periodic box, velocity fields
     fields    -- grid scalars: norms, gradients, projection, interpolation
     solver    -- semi-Lagrangian / Crank-Nicolson and upwind time stepping
-    particles -- backward SDE ensembles and the Feynman-Kac estimator
+    particles -- backward SDE trajectories and the Feynman-Kac estimator
     analysis  -- decay-rate fits, kappa sweeps, scaling-law regression
     cli       -- command dispatch, run manifests, CSV/SVG artifacts
 """
@@ -16,8 +16,7 @@ from .domain import (AnisotropyParams, DomainBox, VelocityField,
 from .fields import (ScalarField, fourier_mode, fourier_sum, grad_norm_sq,
                      l2_norm_sq, mean_zero_project, random_fourier_sum)
 from .solver import DecaySeries, SolverConfig, run
-from .particles import (ParticleEnsemble, VarianceMap, feynman_kac,
-                        make_ensemble, sde_step, variance_integral)
+from .particles import VarianceMap, endpoints, feynman_kac, variance_integral
 from .analysis import (DecayFit, ExponentFit, FdrResult, exponent_report,
                        exponent_report_csv, fdr_check, figure1_curve,
                        figure1_exponent, figure2_surface, fit_decay,
@@ -31,8 +30,7 @@ __all__ = [
     "ScalarField", "fourier_mode", "fourier_sum", "grad_norm_sq", "l2_norm_sq",
     "mean_zero_project", "random_fourier_sum",
     "DecaySeries", "SolverConfig", "run",
-    "ParticleEnsemble", "VarianceMap", "feynman_kac", "make_ensemble",
-    "sde_step", "variance_integral",
+    "VarianceMap", "endpoints", "feynman_kac", "variance_integral",
     "DecayFit", "ExponentFit", "FdrResult", "exponent_report",
     "exponent_report_csv", "fdr_check", "figure1_curve", "figure1_exponent",
     "figure2_surface", "fit_decay", "fit_power_law", "sweep_and_fit",

@@ -2,7 +2,7 @@
 
 Commands
     pde      integrate the drift-diffusion equation, write the decay series
-    sde      evolve a particle ensemble, write displacement statistics
+    sde      backward trajectories from one point, write displacement statistics
     fdr      fluctuation-dissipation check at one or more checkpoints
     sweep    kappa sweep -> rates -> scaling-exponent regression
     figures  the two fixed rate figures (fig1/fig2 CSV + SVG)
@@ -35,7 +35,7 @@ from .errors import (AnisodiffError, ConfigError, FitWindowError,
                      InstabilityError, InsufficientDecayError)
 from .fields import to_csv as field_to_csv
 from .manifest import ArtifactWriter, csv_text, load_manifest
-from .particles import make_ensemble, sde_step
+from .particles import endpoints, time_grid
 from .solver import run
 from .svgplot import heatmap_svg, line_plot_svg
 
@@ -94,21 +94,18 @@ def cmd_pde(cfg: RunConfig) -> dict[str, str]:
 
 def cmd_sde(cfg: RunConfig) -> dict[str, str]:
     par = cfg.doc["particles"]
-    n = par["n"]
-    t = float(par["t"])
-    m = max(1, int(round(t / float(par["ds"]))))
-    ds = t / m
-    ens = make_ensemble(cfg.box, n, float(par["x0"]), float(par["y0"]),
-                        kappa=cfg.solver.kappa, seed=par["seed"])
-    for _ in range(m):
-        ens = sde_step(ens, cfg.velocity, ds)
-    dx, dy = ens.displacement()
+    n, t, ds, kappa = par["n"], float(par["t"]), float(par["ds"]), cfg.solver.kappa
+    x0, y0 = float(par["x0"]), float(par["y0"])
+    x, y = endpoints(cfg.box, cfg.velocity, x0, y0, t, kappa, n, ds, par["seed"])
+    dx = cfg.box.wrap_x(x - cfg.box.wrap_x(x0))
+    dy = cfg.box.wrap_y(y - cfg.box.wrap_y(y0))
     if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
         raise InstabilityError("sde: non-finite displacement encountered")
-    target = 2.0 * cfg.solver.kappa * t
+    step = time_grid(cfg.velocity, t, kappa, n, ds)[1]   # the step actually taken
+    target = 2.0 * kappa * t
     se_mean = np.sqrt(target / n) if target > 0 else 0.0
     se_var = target * np.sqrt(2.0 / (n - 1)) if target > 0 else 0.0
-    row = (n, float(cfg.solver.kappa), t, ds, par["seed"], np.mean(dx), np.mean(dy),
+    row = (n, float(kappa), t, step, par["seed"], np.mean(dx), np.mean(dy),
            np.var(dx, ddof=1), np.var(dy, ddof=1), se_mean, se_var)
     return {"sde.csv": csv_text(
         "n,kappa,t,ds,seed,mean_dx,mean_dy,var_dx,var_dy,se_mean,se_var", [row])}
@@ -121,7 +118,7 @@ def cmd_fdr(cfg: RunConfig) -> dict[str, str]:
                         par["times"], dt=cfg.solver.dt, n=par["n"],
                         ds=float(par["ds"]), seed=par["seed"],
                         record_every=cfg.solver.record_every,
-                        launch_box=cfg.launch_box())
+                        launch_box=cfg.launch_box)
     for res in results:
         if not (np.isfinite(res.lhs) and np.isfinite(res.rhs)):
             raise InstabilityError(f"fdr: non-finite estimate at t={res.t}")

@@ -2,12 +2,13 @@
 
 Every field of every section is validated at load time, whatever the
 command, against the owning module's constructor or with the check the
-module applies later (sweep kappas and window, fdr checkpoints), so an
-invalid config is rejected with the offending field named before any
-compute or file output happens.  Integer fields accept an int or a float
-with an integral value (1e4), nothing else.  Float fields, the entries of
-list fields and the amplitudes of initial.terms accept an int or a finite
-float, nothing else (no bool, string, NaN or infinity).  initial.amplitude
+module applies later (sweep kappas and window, fdr checkpoints, the
+particle time grid of sde and fdr), so an invalid config is rejected with
+the offending field named before any compute or file output happens.
+Integer fields accept an int or a float with an integral value (1e4),
+nothing else.  Float fields, the entries of list fields and the
+amplitudes of initial.terms accept an int or a finite float, nothing else
+(no bool, string, NaN or infinity).  initial.amplitude
 scales every kind of initial field, a sum's terms included.  The initial
 field is built during validation.  A rerun merges its manifest's config
 over the defaults exactly as a config file is merged, so a manifest that
@@ -30,6 +31,7 @@ from .errors import ConfigError
 from .fields import (ScalarField, fourier_mode, fourier_sum, fourier_terms,
                      random_fourier_sum)
 from .manifest import read_json_object
+from .particles import time_grid
 from .solver import SolverConfig
 
 EXPERIMENTS = ("pde", "sde", "fdr", "sweep", "figures")
@@ -120,15 +122,11 @@ class RunConfig:
     velocity: VelocityField
     solver: SolverConfig
     initial: ScalarField
+    launch_box: DomainBox   # the Feynman-Kac launch grid of fdr
 
     def initial_field(self) -> ScalarField:
         """The initial field, built once when the config was validated."""
         return self.initial
-
-    def launch_box(self) -> DomainBox:
-        par = self.doc["particles"]
-        return DomainBox(self.box.half_width_x, self.box.half_width_y,
-                         par["grid_nx"], par["grid_ny"])
 
 
 def _integer(value, name: str, lo: int | None = None) -> int:
@@ -161,6 +159,16 @@ def _build_initial(ini: dict, box: DomainBox) -> ScalarField:
                                  for mx, my, kind, amp in ini["terms"]])
     raise ConfigError(f"initial.kind: must be 'mode', 'random', or 'sum', "
                       f"got {ini['kind']!r}")
+
+
+def _build_launch_box(box: DomainBox, par: dict) -> DomainBox:
+    """box's extent on the particles.grid_nx x grid_ny grid; DomainBox's
+    errors about its nx or ny are renamed to the config fields."""
+    try:
+        return DomainBox(box.half_width_x, box.half_width_y,
+                         par["grid_nx"], par["grid_ny"])
+    except ConfigError as exc:
+        raise ConfigError(str(exc).replace("box.n", "particles.grid_n")) from None
 
 
 def _build_velocity(dom: dict, params: AnisotropyParams) -> VelocityField:
@@ -219,11 +227,11 @@ def build_config(doc: dict) -> RunConfig:
         for field in ("ds", "t"):
             if not float(par[field]) > 0.0:
                 raise ConfigError(f"particles.{field}: must be > 0, got {par[field]}")
-        if experiment == "fdr":
-            first = check_checkpoint(par["times"], solver.dt, solver.record_every)[0]
-            if float(par["ds"]) > first:
-                raise ConfigError(f"particles.ds: must not exceed the earliest "
-                                  f"checkpoint {first}, got {par['ds']}")
+        launch_box = _build_launch_box(box, par)
+        if experiment in ("sde", "fdr"):   # the particle run's own checks
+            t = (check_checkpoint(par["times"], solver.dt, solver.record_every)[0]
+                 if experiment == "fdr" else float(par["t"]))
+            time_grid(velocity, t, solver.kappa, par["n"], float(par["ds"]))
         check_sweep(sweep["kappas"], sweep["dts"], sweep["t_ends"])
         check_window(sweep["window"], "sweep.window")
         outdir = doc["output"]["dir"]
@@ -233,7 +241,8 @@ def build_config(doc: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: malformed numeric field ({exc})") from exc
     return RunConfig(experiment=experiment, doc=doc, params=params, box=box,
-                     velocity=velocity, solver=solver, initial=initial)
+                     velocity=velocity, solver=solver, initial=initial,
+                     launch_box=launch_box)
 
 
 def load_config(path: str | Path | None = None, overrides=(),

@@ -8,12 +8,12 @@ Trajectories follow the Euler-Maruyama update
 with positions wrapped into the periodic box after every step.  The drift
 is -u, the negated forward flow, so that integrating the backward process
 forward in its own time variable realizes the stochastic representation
-of the drift-diffusion equation.  One kernel, _em_step, performs this
-update for both sde_step and feynman_kac; each caller scales its own noise.
+of the drift-diffusion equation.  One loop, _trajectories, runs this
+update for both endpoints (one launch point) and feynman_kac (a grid).
 
 For u = 0 the wrapped chain is exactly wrap(x0 + sqrt(2 kappa t) xi) in
-law, so feynman_kac takes one step of the whole time t there and ds is
-unused; every other field takes round(t/ds) steps.
+law, so both take one step of the whole time t there and ds is unused;
+every other field takes round(t/ds) steps (time_grid).
 
 Randomness is counter-based: each launch point owns a Philox substream
 keyed by (seed, stream, flat point index), so results are bit-identical
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -67,66 +67,61 @@ def _em_step(box: DomainBox, velocity: VelocityField, x, y, ds: float,
     return box.wrap_x(x), box.wrap_y(y)
 
 
-@dataclass
-class ParticleEnsemble:
-    """Positions of n trajectories plus the owning RNG substream."""
+def time_grid(velocity: VelocityField, t: float, kappa: float, n: int,
+              ds: float) -> tuple[int, float]:
+    """Check a particle run's arguments; return its step count and step size.
 
-    box: DomainBox
-    x: np.ndarray
-    y: np.ndarray
-    kappa: float
-    rng_seed: int
-    x0: np.ndarray | None = dc_field(default=None, repr=False)
-    y0: np.ndarray | None = dc_field(default=None, repr=False)
-    rng: np.random.Generator | None = dc_field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.x = np.atleast_1d(np.asarray(self.x, dtype=float)).copy()
-        self.y = np.atleast_1d(np.asarray(self.y, dtype=float)).copy()
-        if self.x.shape != self.y.shape:
-            raise ConfigError("ensemble: x and y position arrays must match")
-        if self.kappa < 0:
-            raise ConfigError(f"ensemble.kappa: must be >= 0, got {self.kappa}")
-        if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.y)):
-            raise ConfigError("ensemble: positions must be finite")
-        if self.x0 is None:
-            self.x0 = self.x.copy()
-            self.y0 = self.y.copy()
-        if self.rng is None:
-            self.rng = _substream(self.rng_seed, 0, 0)
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    def displacement(self) -> tuple[np.ndarray, np.ndarray]:
-        """Minimal-image displacement since launch (valid while the spread
-        stays well under the box size)."""
-        return self.box.wrap_x(self.x - self.x0), self.box.wrap_y(self.y - self.y0)
-
-
-def make_ensemble(box: DomainBox, n: int, x0: float = 0.0, y0: float = 0.0,
-                  kappa: float = 0.0, seed: int = 0) -> ParticleEnsemble:
-    if n < 1:
-        raise ConfigError(f"particles.n: must be >= 1, got {n}")
-    x = np.full(n, float(x0))
-    y = np.full(n, float(y0))
-    return ParticleEnsemble(box=box, x=box.wrap_x(x), y=box.wrap_y(y),
-                            kappa=float(kappa), rng_seed=int(seed))
-
-
-def sde_step(ens: ParticleEnsemble, velocity: VelocityField, ds: float) -> ParticleEnsemble:
-    """One Euler-Maruyama step of backward time ds, drift -u.
-
-    The Wiener increments (standard deviation sqrt(ds) each) are drawn
-    from the ensemble's own substream.
+    A zero field takes one exact step of the whole t; every other field
+    takes max(1, round(t/ds)) equal steps.
     """
-    if ds <= 0:
-        raise ConfigError(f"particles.ds: must be > 0, got {ds}")
-    dw = np.sqrt(ds) * ens.rng.standard_normal((2, ens.n))
-    sig = np.sqrt(2.0 * ens.kappa)
-    x, y = _em_step(ens.box, velocity, ens.x, ens.y, ds, sig * dw[0], sig * dw[1])
-    return replace(ens, x=x, y=y, x0=ens.x0, y0=ens.y0, rng=ens.rng)
+    if n < 2:
+        raise ConfigError(f"particles.n: need at least 2 trajectories, got {n}")
+    if t <= 0:
+        raise ConfigError(f"particles.t: must be > 0, got {t}")
+    if ds <= 0 or ds > t:
+        raise ConfigError(f"particles.ds: must lie in (0, t = {t}], got {ds}")
+    if kappa < 0:
+        raise ConfigError(f"particles.kappa: must be >= 0, got {kappa}")
+    m = 1 if velocity.is_zero else max(1, int(round(t / ds)))
+    return m, t / m
+
+
+def _trajectories(box: DomainBox, velocity: VelocityField, x0, y0, n: int,
+                  gens: list, m: int, ds: float, sig: float):
+    """Endpoints, shape (p, n), of n trajectories from each of the p launch
+    points (x0[k], y0[k]): m steps of size ds whose noise, sig times a
+    standard normal, point k draws from gens[k], one (2, n) block a step.
+    Without generators the trajectories are noise-free.
+    """
+    p = len(x0)
+    x = np.repeat(x0, n).reshape(p, n)
+    y = np.repeat(y0, n).reshape(p, n)
+    z = np.empty((p, 2, n))
+    noise = (z[:, 0], z[:, 1]) if gens else ()   # views of z, refilled each step
+    for _ in range(m):
+        if gens:
+            for row, g in enumerate(gens):
+                g.standard_normal(out=z[row])
+            z *= sig
+        x, y = _em_step(box, velocity, x, y, ds, *noise)
+    return x, y
+
+
+def endpoints(box: DomainBox, velocity: VelocityField, x0: float, y0: float,
+              t: float, kappa: float, n: int, ds: float,
+              seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of n backward trajectories of time t from the wrapped (x0, y0).
+
+    They draw from substream (seed, 0, 0), which is feynman_kac's launch
+    point 0 of stream 0; at kappa = 0 no generator is built.  Steps follow
+    time_grid.
+    """
+    m, ds_eff = time_grid(velocity, t, kappa, n, ds)
+    gens = [_substream(seed, 0, 0)] if kappa > 0.0 else []
+    x, y = _trajectories(box, velocity, box.wrap_x(np.array([x0], dtype=float)),
+                         box.wrap_y(np.array([y0], dtype=float)), n, gens, m, ds_eff,
+                         np.sqrt(2.0 * kappa * ds_eff))
+    return x[0], y[0]
 
 
 @dataclass
@@ -185,17 +180,8 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     so the result is bit-identical for any thread count; the chunk memory
     in flight grows with it.
     """
-    if n < 2:
-        raise ConfigError(f"particles.n: need at least 2 trajectories, got {n}")
-    if t <= 0:
-        raise ConfigError(f"particles.t: must be > 0, got {t}")
-    if ds <= 0 or ds > t:
-        raise ConfigError(f"particles.ds: must lie in (0, t], got {ds}")
-    if kappa < 0:
-        raise ConfigError(f"particles.kappa: must be >= 0, got {kappa}")
+    m, ds_eff = time_grid(velocity, t, kappa, n, ds)
     box = launch_box if launch_box is not None else rho0.box
-    m = 1 if velocity.is_zero else max(1, int(round(t / ds)))
-    ds_eff = t / m
     sig = np.sqrt(2.0 * kappa * ds_eff)
 
     xc = box.x_centers()
@@ -213,17 +199,8 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     def run_chunk(start: int) -> None:
         idx = np.arange(start, min(start + chunk, n_points))
         gens = [_substream(seed, stream, int(k)) for k in idx] if noisy else []
-        p = len(idx)
-        x = np.repeat(xc[idx // box.ny], n_traj).reshape(p, n_traj)
-        y = np.repeat(yc[idx % box.ny], n_traj).reshape(p, n_traj)
-        z = np.empty((p, 2, n_traj))
-        noise = (z[:, 0], z[:, 1]) if noisy else ()   # views of z, refilled each step
-        for _ in range(m):
-            if noisy:
-                for row, g in enumerate(gens):
-                    g.standard_normal(out=z[row])
-                z *= sig
-            x, y = _em_step(box, velocity, x, y, ds_eff, *noise)
+        x, y = _trajectories(box, velocity, xc[idx // box.ny], yc[idx % box.ny],
+                             n_traj, gens, m, ds_eff, sig)
         w = sample_many(rho0, x, y)
         mu = w.mean(axis=1)
         m2c = w.var(axis=1)                      # biased central second moment

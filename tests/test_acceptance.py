@@ -18,8 +18,7 @@ from anisodiff.cli import main
 from anisodiff.domain import (AnisotropyParams, DomainBox, VelocityField,
                               make_velocity)
 from anisodiff.fields import fourier_mode, random_fourier_sum, sample_many
-from anisodiff.particles import (feynman_kac, make_ensemble, sde_step,
-                                 variance_integral)
+from anisodiff.particles import endpoints, feynman_kac, variance_integral
 from anisodiff.solver import SolverConfig, run
 
 HEAT_RATE = 4 * np.pi ** 2 * 0.01  # 2 kappa |k|^2 for the (1,1) mode
@@ -124,10 +123,9 @@ def test_criterion_06_brownian_statistics():
     t0 = time.perf_counter()
     box = DomainBox(1.0, 1.0, 128, 128)
     kappa, t, n = 0.01, 1.0, 100_000
-    ens = make_ensemble(box, n, 0.0, 0.0, kappa=kappa, seed=60606)
-    for _ in range(100):
-        ens = sde_step(ens, VelocityField.zero(), t / 100)
-    dx, dy = ens.displacement()
+    x, y = endpoints(box, VelocityField.zero(), 0.0, 0.0, t, kappa, n, t / 100,
+                     seed=60606)
+    dx, dy = box.wrap_x(x - 0.0), box.wrap_y(y - 0.0)
     target = 2 * kappa * t
     se_mean = np.sqrt(target / n)
     se_var = target * np.sqrt(2.0 / (n - 1))

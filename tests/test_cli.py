@@ -172,6 +172,7 @@ class TestSde:
         header, rows = read_csv(out / "sde.csv")
         assert header[:5] == ["n", "kappa", "t", "ds", "seed"]
         row = dict(zip(header, rows[0]))
+        assert row["ds"] == row["t"]   # a zero field takes one step of the whole t
         assert abs(row["var_dx"] - 0.02) < 3 * row["se_var"]
         assert abs(row["mean_dy"]) < 3 * row["se_mean"]
 
@@ -500,6 +501,10 @@ BAD_CONFIGS = [
     ("pde", ["initial.amplitude=NaN"], "initial.amplitude"),
     ("sde", ["particles.ds=NaN"], "particles.ds"),
     ("sde", ["particles.t=Infinity"], "particles.t"),
+    ("sde", ["particles.ds=2"], "particles.ds"),
+    ("pde", ["particles.grid_nx=9"], "particles.grid_nx"),
+    ("fdr", ["particles.grid_nx=9"], "particles.grid_nx"),
+    ("fdr", ["particles.grid_ny=9"], "particles.grid_ny"),
     ("pde", ["solver.grad_backend=difference"], "grad_backend"),
     ("pde", ["domain.p=true"], "domain.p"),
     ("pde", ["solver.kappa=true"], "solver.kappa"),

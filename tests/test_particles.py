@@ -7,71 +7,75 @@ from anisodiff.domain import AnisotropyParams, DomainBox, VelocityField, make_ve
 from anisodiff.errors import ConfigError
 from anisodiff.fields import fourier_mode, random_fourier_sum, sample_many
 from anisodiff import particles
-from anisodiff.particles import (ParticleEnsemble, _substream, feynman_kac,
-                                 make_ensemble, sde_step, variance_integral,
-                                 variance_integral_stderr, VarianceMap)
+from anisodiff.particles import (_substream, endpoints, feynman_kac,
+                                 variance_integral, variance_integral_stderr,
+                                 VarianceMap)
 from anisodiff.solver import SolverConfig, run
 
 MODE_EIGENVALUE = 2.0 * np.pi ** 2
 
 
-def evolve(ens, velocity, t, m):
-    ds = t / m
-    for _ in range(m):
-        ens = sde_step(ens, velocity, ds)
-    return ens
-
-
 class TestSdeStep:
-    def test_frozen_without_noise_or_drift(self, box64):
-        ens = make_ensemble(box64, 100, 0.2, -0.3, kappa=0.0, seed=1)
-        out = evolve(ens, VelocityField.zero(), 1.0, 10)
-        assert np.array_equal(out.x, ens.x0)
-        assert np.array_equal(out.y, ens.y0)
+    """The sde command's trajectories: endpoints, n of them from one point."""
+
+    def test_frozen_without_noise_or_drift(self, box64, monkeypatch):
+        generators = []
+        monkeypatch.setattr(particles, "_substream", lambda *a: generators.append(a))
+        x, y = endpoints(box64, VelocityField.zero(), 0.2, -0.3, 1.0, 0.0, 100, 0.1,
+                         seed=1)
+        assert generators == []
+        assert np.array_equal(x, box64.wrap_x(np.full(100, 0.2)))
+        assert np.array_equal(y, box64.wrap_y(np.full(100, -0.3)))
 
     def test_constant_drift_backward_shift(self, box64):
         # backward trajectories shift by -c t for a constant field
         c, t = 0.4, 0.75
-        ens = make_ensemble(box64, 50, 0.1, 0.0, kappa=0.0, seed=2)
-        out = evolve(ens, VelocityField.of_constant(c, 0.0), t, 30)
-        dx, dy = out.displacement()
-        assert np.allclose(dx, -c * t, atol=1e-12)
-        assert np.allclose(dy, 0.0, atol=1e-12)
+        x, y = endpoints(box64, VelocityField.of_constant(c, 0.0), 0.1, 0.0, t, 0.0,
+                         50, t / 30, seed=2)
+        assert np.allclose(box64.wrap_x(x - 0.1), -c * t, atol=1e-12)
+        assert np.allclose(box64.wrap_y(y - 0.0), 0.0, atol=1e-12)
 
     def test_brownian_moments(self, box64):
         # u = 0: displacements are exactly N(0, 2 kappa t) per axis
         kappa, t, n = 0.01, 1.0, 20000
-        ens = make_ensemble(box64, n, 0.0, 0.0, kappa=kappa, seed=11)
-        out = evolve(ens, VelocityField.zero(), t, 100)
-        dx, dy = out.displacement()
+        x, y = endpoints(box64, VelocityField.zero(), 0.0, 0.0, t, kappa, n, t / 100,
+                         seed=11)
         target = 2 * kappa * t
         se_mean = np.sqrt(target / n)
         se_var = target * np.sqrt(2.0 / (n - 1))
-        for d in (dx, dy):
+        for d in (box64.wrap_x(x - 0.0), box64.wrap_y(y - 0.0)):
             assert abs(np.mean(d)) < 3 * se_mean
             assert abs(np.var(d, ddof=1) - target) < 3 * se_var
 
     def test_positions_stay_wrapped(self, box64):
-        ens = make_ensemble(box64, 500, 0.9, 0.9, kappa=0.5, seed=4)
-        out = evolve(ens, VelocityField.of_constant(2.0, -3.0), 2.0, 40)
-        assert np.all(out.x >= -1.0) and np.all(out.x < 1.0)
-        assert np.all(out.y >= -1.0) and np.all(out.y < 1.0)
+        x, y = endpoints(box64, VelocityField.of_constant(2.0, -3.0), 0.9, 0.9, 2.0,
+                         0.5, 500, 2.0 / 40, seed=4)
+        assert np.all(x >= -1.0) and np.all(x < 1.0)
+        assert np.all(y >= -1.0) and np.all(y < 1.0)
 
     def test_determinism(self, box64):
         par = AnisotropyParams(p=2, q=3)
         vel = make_velocity(par, 0.5, 1e-3)
-        a = evolve(make_ensemble(box64, 200, 0.1, 0.2, 0.02, seed=7), vel, 0.5, 50)
-        b = evolve(make_ensemble(box64, 200, 0.1, 0.2, 0.02, seed=7), vel, 0.5, 50)
-        c = evolve(make_ensemble(box64, 200, 0.1, 0.2, 0.02, seed=8), vel, 0.5, 50)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-        assert not np.array_equal(a.x, c.x)
+        a, b, c = (endpoints(box64, vel, 0.1, 0.2, 0.5, 0.02, 200, 0.01, seed=seed)
+                   for seed in (7, 7, 8))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert not np.array_equal(a[0], c[0])
 
-    def test_input_validation(self, box64):
-        ens = make_ensemble(box64, 10, 0, 0, 0.1, seed=0)
-        with pytest.raises(ConfigError):
-            sde_step(ens, VelocityField.zero(), 0.0)
-        with pytest.raises(ConfigError):
-            make_ensemble(box64, 0, 0, 0, 0.1, seed=0)
+    @pytest.mark.parametrize("box", [DomainBox(1.0, 1.0, 32, 32),
+                                     DomainBox(0.7, 0.7, 24, 24)], ids=["32", "24_L0.7"])
+    def test_zero_field_is_one_exact_step(self, box):
+        """u = 0: the endpoints are wrap(x0 + sqrt(2 kappa t) z) from the wrapped
+        launch, z the first (2, n) draw of substream (seed, 0, 0), whatever ds is."""
+        t, kappa, n, seed = 0.4, 0.05, 64, 13
+        z = _substream(seed, 0, 0).standard_normal((2, n))
+        sig = np.sqrt(2.0 * kappa * t)
+        expect_x = box.wrap_x(box.wrap_x(np.full(n, 0.25)) + sig * z[0])
+        expect_y = box.wrap_y(box.wrap_y(np.full(n, -0.375)) + sig * z[1])
+        for ds in (t, t / 7, t / 30):
+            x, y = endpoints(box, VelocityField.zero(), 0.25, -0.375, t, kappa, n, ds,
+                             seed)
+            assert np.array_equal(x, expect_x), ds
+            assert np.array_equal(y, expect_y), ds
 
 
 class TestStrongOrder:
@@ -113,6 +117,12 @@ class TestFeynmanKac:
             feynman_kac(rho, VelocityField.zero(), 0.0, 0.1, 100, 0.1, seed=0)
         with pytest.raises(ConfigError):
             feynman_kac(rho, VelocityField.zero(), 1.0, 0.1, 100, 2.0, seed=0)
+        zero = VelocityField.zero()
+        for bad in (dict(ds=0.0), dict(n=1), dict(n=0), dict(ds=2.0), dict(t=0.0),
+                    dict(kappa=-0.1)):
+            args = dict(dict(t=1.0, kappa=0.1, n=10, ds=0.1), **bad)
+            with pytest.raises(ConfigError):
+                endpoints(box64, zero, 0.0, 0.0, seed=0, **args)
 
     def test_short_time_limit(self, box64):
         # one tiny step: mean ~ rho0, variance ~ 2 kappa t |grad rho0|^2
@@ -226,7 +236,7 @@ class TestExactDiffusion:
 
 
 class TestSingleKernel:
-    """sde_step and feynman_kac advance particles through one Euler-Maruyama kernel."""
+    """endpoints and feynman_kac advance particles through one trajectory loop."""
 
     @pytest.fixture
     def stream_case(self, box64, params23):
@@ -257,20 +267,16 @@ class TestSingleKernel:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("k", [0, 37, 79])
-    def test_sde_step_reproduces_feynman_kac_point(self, stream_case, k):
+    def test_endpoints_reproduce_feynman_kac_point(self, stream_case):
+        """endpoints draws from feynman_kac's launch point 0 of stream 0."""
         rho, vel, launch = stream_case
-        t, kappa, n, m, seed, stream = 0.2, 0.05, 400, 10, 23, 1
-        mean, vmap = feynman_kac(rho, vel, t, kappa, n, t / m, seed,
-                                 launch_box=launch, stream=stream)
-        i, j = divmod(k, launch.ny)
-        ens = ParticleEnsemble(box=launch, x=np.full(n, launch.x_centers()[i]),
-                               y=np.full(n, launch.y_centers()[j]), kappa=kappa,
-                               rng_seed=seed, rng=_substream(seed, stream, k))
-        ens = evolve(ens, vel, t, m)
-        w = sample_many(rho, ens.x, ens.y)
-        assert abs(w.mean() - mean.values[i, j]) <= 1e-12
-        assert abs(w.var(ddof=1) - vmap.values[i, j]) <= 1e-12
+        t, kappa, n, m, seed = 0.2, 0.05, 400, 10, 23
+        mean, vmap = feynman_kac(rho, vel, t, kappa, n, t / m, seed, launch_box=launch)
+        x, y = endpoints(launch, vel, launch.x_centers()[0], launch.y_centers()[0],
+                         t, kappa, n, t / m, seed)
+        w = sample_many(rho, x, y)
+        assert w.mean() == mean.values[0, 0]
+        assert abs(w.var(ddof=1) - vmap.values[0, 0]) <= 1e-12
 
 
 class TestZeroKappa:

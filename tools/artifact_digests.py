@@ -55,6 +55,8 @@ CASES = {
     "pde_shear": ("pde", {**PDE, "domain.family": "shear"}),
     "sde_k0.05": ("sde", {**SDE, "solver.kappa": 0.05}),
     "sde_k0": ("sde", {**SDE, "solver.kappa": 0.0}),
+    # u = 0: one exact step of the whole t, and sde.csv's ds reads t
+    "sde_zero_k0.05": ("sde", {**SDE, "domain.family": "zero", "solver.kappa": 0.05}),
     # steps longer than the box: DomainBox's wrap takes its np.mod fallback
     "sde_far": ("sde", {**SDE, "domain.amplitude": 100.0, "particles.ds": 0.05,
                         "particles.t": 0.5, "particles.x0": 0.9, "particles.y0": 0.8,
