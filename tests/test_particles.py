@@ -77,6 +77,14 @@ class TestSdeStep:
             assert np.array_equal(x, expect_x), ds
             assert np.array_equal(y, expect_y), ds
 
+    def test_input_validation(self, box64):
+        zero = VelocityField.zero()
+        for bad in (dict(ds=0.0), dict(n=1), dict(n=0), dict(ds=2.0), dict(t=0.0),
+                    dict(kappa=-0.1)):
+            args = dict(dict(t=1.0, kappa=0.1, n=10, ds=0.1), **bad)
+            with pytest.raises(ConfigError):
+                endpoints(box64, zero, 0.0, 0.0, seed=0, **args)
+
 
 class TestStrongOrder:
     def test_common_random_numbers_refinement(self, box64):
@@ -117,12 +125,6 @@ class TestFeynmanKac:
             feynman_kac(rho, VelocityField.zero(), 0.0, 0.1, 100, 0.1, seed=0)
         with pytest.raises(ConfigError):
             feynman_kac(rho, VelocityField.zero(), 1.0, 0.1, 100, 2.0, seed=0)
-        zero = VelocityField.zero()
-        for bad in (dict(ds=0.0), dict(n=1), dict(n=0), dict(ds=2.0), dict(t=0.0),
-                    dict(kappa=-0.1)):
-            args = dict(dict(t=1.0, kappa=0.1, n=10, ds=0.1), **bad)
-            with pytest.raises(ConfigError):
-                endpoints(box64, zero, 0.0, 0.0, seed=0, **args)
 
     def test_short_time_limit(self, box64):
         # one tiny step: mean ~ rho0, variance ~ 2 kappa t |grad rho0|^2
