@@ -28,7 +28,7 @@ from .errors import ConfigError, FitWindowError, InsufficientDecayError, SweepEr
 from .fields import ScalarField
 from .manifest import csv_text
 from .particles import feynman_kac, variance_integral, variance_integral_stderr
-from .solver import DecaySeries, SolverConfig, run
+from .solver import DecaySeries, SolverConfig, run, whole_steps
 
 DEFAULT_FIT_WINDOW = (0.1, 0.9)
 
@@ -129,9 +129,10 @@ def check_window(window, name: str = "fit.window") -> tuple[float, float]:
     return lo, hi
 
 
-def check_sweep(kappas, dts=None, t_ends=None):
-    """(kappas, dts, t_ends) as floats: >= 4 strictly increasing kappas > 0
-    spanning a decade, and each ladder None or one entry per kappa."""
+def check_sweep(kappas, base_cfg: SolverConfig, dts=None, t_ends=None) -> list[SolverConfig]:
+    """The sweep's runs: base_cfg at each of >= 4 strictly increasing kappas
+    > 0 spanning a decade, its dt and t_end taken from the ladders dts and
+    t_ends when given, one entry per kappa.  The ladders name a bad run."""
     kappas = [float(k) for k in kappas]
     if len(kappas) < 4:
         raise ConfigError(f"sweep.kappas: need >= 4 values, got {len(kappas)}")
@@ -141,14 +142,18 @@ def check_sweep(kappas, dts=None, t_ends=None):
         raise ConfigError(f"sweep.kappas: must be > 0, got {kappas[0]}")
     if kappas[-1] / kappas[0] < 10.0:
         raise ConfigError("sweep.kappas: must span at least one decade")
-    ladders = []
     for name, ladder in (("dts", dts), ("t_ends", t_ends)):
-        if ladder is not None:
-            ladder = [float(v) for v in ladder]
-            if len(ladder) != len(kappas):
-                raise ConfigError(f"sweep.{name}: must match sweep.kappas in length")
-        ladders.append(ladder)
-    return (kappas, *ladders)
+        if ladder is not None and len(ladder) != len(kappas):
+            raise ConfigError(f"sweep.{name}: must match sweep.kappas in length")
+    runs = []
+    for i, k in enumerate(kappas):
+        try:
+            runs.append(replace(base_cfg, kappa=k,
+                                dt=base_cfg.dt if dts is None else float(dts[i]),
+                                t_end=base_cfg.t_end if t_ends is None else float(t_ends[i])))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.dts / sweep.t_ends at kappa={k:g}: {exc}") from None
+    return runs
 
 
 def _linregress(x, y):
@@ -220,7 +225,6 @@ class ExponentFit:
     intercept: float
     ci95: float
     loglog_r2: float
-    theoretical: float | None
 
     def __post_init__(self):
         self.kappas = np.asarray(self.kappas, dtype=float)
@@ -242,7 +246,7 @@ def _sweep_one(rho0, velocity, cfg, window):
 
 
 def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
-                  base_cfg: SolverConfig, params: AnisotropyParams | None = None,
+                  base_cfg: SolverConfig,
                   window: tuple[float, float] = DEFAULT_FIT_WINDOW,
                   dts=None, t_ends=None) -> ExponentFit:
     """Run the solver (solver.run) once per kappa, fit each decay, regress the rates.
@@ -253,24 +257,15 @@ def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
     so the pool size cannot change a bit.  Individual fit failures are
     tolerated up to half the sweep, then a SweepError carries the causes.
 
-    dts / t_ends, when given, override base_cfg per kappa (one entry per
-    kappa).  Fast decays need finer sampling, slow ones run much cheaper
-    and less dissipatively with a coarse step, so a ladder is the usual
-    way to drive a multi-decade sweep.
+    dts / t_ends, when given, override base_cfg per kappa (check_sweep).
+    Fast decays need finer sampling, slow ones run much cheaper and less
+    dissipatively with a coarse step, so a ladder is the usual way to drive
+    a multi-decade sweep.
     """
-    kappas, dts, t_ends = check_sweep(kappas, dts, t_ends)
-    if params is None:
-        params = velocity.params
-    if dts is None:
-        dts = [base_cfg.dt] * len(kappas)
-    if t_ends is None:
-        t_ends = [base_cfg.t_end] * len(kappas)
-
-    with ProcessPoolExecutor(max_workers=min(particles._cpu_count(), len(kappas))) as pool:
-        futures = [pool.submit(_sweep_one, rho0, velocity,
-                               replace(base_cfg, kappa=k, dt=float(dt), t_end=float(te)),
-                               window)
-                   for k, dt, te in zip(kappas, dts, t_ends)]
+    runs = check_sweep(kappas, base_cfg, dts, t_ends)
+    kappas = [cfg.kappa for cfg in runs]
+    with ProcessPoolExecutor(max_workers=min(particles._cpu_count(), len(runs))) as pool:
+        futures = [pool.submit(_sweep_one, rho0, velocity, cfg, window) for cfg in runs]
         # a failed run yields its exception: sweep failures are per kappa
         results = [fut.exception() or fut.result() for fut in futures]
 
@@ -291,8 +286,6 @@ def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
         rate_stderrs=np.array([f.rate_stderr for f in fits]),
         fit_r2s=np.array([f.r_squared for f in fits]),
         slope=slope, intercept=intercept, ci95=ci95, loglog_r2=r2,
-        theoretical=float(theoretical_exponent(float(params.p), float(params.q)))
-        if params is not None else None,
     )
 
 
@@ -318,10 +311,7 @@ def check_checkpoint(times, dt: float, record_every: int) -> list[float]:
         raise ConfigError(f"particles.times: the last checkpoint {times[-1]} is shorter "
                           f"than record_every * dt = {record_every} * {dt}")
     for t in times:
-        steps = round(t / dt)
-        if abs(steps * dt - t) > 1e-9 * abs(t):
-            raise ConfigError(f"particles.times: checkpoint {t} is not a whole number "
-                              f"of solver steps dt={dt}")
+        steps = whole_steps(t, dt, "particles.times")
         if t < times[-1] and steps % record_every:
             raise ConfigError(f"particles.times: checkpoint {t} is not a recorded "
                               f"sample, a whole number of record_every * dt "

@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (exponent_report, exponent_report_csv, fdr_check,
+from .analysis import (FIGURE1_KAPPA_RANGE, FIGURE2_KAPPA, FIGURE2_PQ_RANGE,
+                       exponent_report, exponent_report_csv, fdr_check,
                        figure1_curve, figure2_surface, fit_decay, sweep_and_fit)
 from .config import RunConfig, load_config
 from .errors import (AnisodiffError, ConfigError, FitWindowError,
@@ -134,7 +135,7 @@ def cmd_sweep(cfg: RunConfig) -> dict[str, str]:
     sweep = cfg.doc["sweep"]
     rho0 = cfg.initial_field()
     fit = sweep_and_fit(sweep["kappas"], rho0, cfg.velocity, cfg.solver,
-                        params=cfg.params, window=tuple(sweep["window"]),
+                        window=tuple(sweep["window"]),
                         dts=sweep["dts"], t_ends=sweep["t_ends"])
     line = np.exp(fit.intercept) * fit.kappas ** fit.slope
     return {
@@ -150,10 +151,10 @@ def cmd_sweep(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_figures(cfg: RunConfig) -> dict[str, str]:
-    kappas = np.logspace(np.log10(0.01), 0.0, FIG1_POINTS)
+    kappas = np.logspace(*np.log10(FIGURE1_KAPPA_RANGE), FIG1_POINTS)
     curves = {name: [figure1_curve(float(k), name) for k in kappas]
               for name in ("blue", "red", "green")}
-    pq = np.linspace(1.0, 5.0, FIG2_POINTS)
+    pq = np.linspace(*FIGURE2_PQ_RANGE, FIG2_POINTS)
     surf = [[figure2_surface(float(p), float(q)) for q in pq] for p in pq]
     return {
         "fig1.csv": csv_text("kappa,blue,red,green",
@@ -167,8 +168,8 @@ def cmd_figures(cfg: RunConfig) -> dict[str, str]:
              ("p=4, q=5", curves["green"], "green")],
             title="rate curves", xlabel="kappa", ylabel="r(kappa)", logx=True),
         "fig2.svg": heatmap_svg(
-            surf, (1.0, 5.0, 1.0, 5.0),
-            title="rate surface at kappa = 0.1", xlabel="p", ylabel="q"),
+            surf, (*FIGURE2_PQ_RANGE, *FIGURE2_PQ_RANGE),
+            title=f"rate surface at kappa = {FIGURE2_KAPPA}", xlabel="p", ylabel="q"),
     }
 
 

@@ -1,21 +1,23 @@
 """Run configuration: one nested JSON document, flag overrides on top.
 
-Every field of every section is validated at load time, whatever the
-command, against the owning module's constructor or with the check the
-module applies later (sweep kappas and window, fdr checkpoints, the
-particle time grid of sde and fdr), so an invalid config is rejected with
-the offending field named before any compute or file output happens.
-Integer fields accept an int or a float with an integral value (1e4),
-nothing else.  Float fields, the entries of list fields and the
-amplitudes of initial.terms accept an int or a finite float, nothing else
-(no bool, string, NaN or infinity).  initial.amplitude
-scales every kind of initial field, a sum's terms included.  The initial
-field is built during validation.  A rerun merges its manifest's config
-over the defaults exactly as a config file is merged, so a manifest that
-holds a field this version does not know, such as one an earlier
-version had, is rejected like a config file.  So is each
-`--set a.b=value`: it is merged as the document {"a": {"b": value}}, so a
-whole section may be set, and the merge names any unknown field.
+Every field of every section is validated at load time, in one pass and
+whatever the command, so an invalid config is rejected under the field
+the user set before any compute or file output happens.  Each field's
+type is stated once, by its value in DEFAULTS: an integer field accepts
+an int or a float with an integral value (1e4); a float field, and each
+entry of a list of numbers, of a sweep ladder (sweep.dts, sweep.t_ends)
+that is not null and of an amplitude in initial.terms, accepts an int or
+a finite float (no bool, string, NaN or infinity).  The rules on values
+are the owning modules', which name the config fields: the domain,
+velocity, solver and initial-field constructors, check_sweep (which
+builds every kappa's SolverConfig), the fit window, the fdr checkpoints
+and the particle time grid of sde and fdr.  initial.amplitude scales
+every kind of initial field, a sum's terms included.  A rerun merges its
+manifest's config over the defaults exactly as a config file is merged,
+so a field this version does not know, such as one an earlier version
+had, is rejected as in a config file.  So is each `--set a.b=value`: it
+is merged as the document {"a": {"b": value}}, so a whole section may be
+set, and the merge names any unknown field.
 """
 from __future__ import annotations
 
@@ -63,24 +65,11 @@ DEFAULTS = {
     "output": {"dir": None},
 }
 
-# every integer field, with its lower bound where no constructor checks one;
-# the mode numbers of initial.terms are integers too
-_INTEGER_FIELDS = {
-    "domain.nx": None, "domain.ny": None, "solver.record_every": None,
-    "initial.mx": None, "initial.my": None, "initial.max_mode": None, "initial.seed": 0,
-    "particles.n": 2, "particles.seed": 0, "particles.grid_nx": 8, "particles.grid_ny": 8,
-}
-
-# every float field
-_FLOAT_FIELDS = (
-    "domain.p", "domain.q", "domain.alpha", "domain.beta", "domain.Lx", "domain.Ly",
-    "domain.epsilon", "domain.amplitude", "initial.amplitude",
-    "solver.kappa", "solver.dt", "solver.t_end",
-    "particles.ds", "particles.t", "particles.x0", "particles.y0",
-)
-# every list of floats, with whether it may be None (the per-kappa ladders)
-_FLOAT_LISTS = {"particles.times": False, "sweep.kappas": False, "sweep.window": False,
-                "sweep.dts": True, "sweep.t_ends": True}
+# the lower bounds that no owner states for every command
+_LOWER_BOUNDS = {"initial.max_mode": 1, "initial.seed": 0, "particles.n": 2,
+                 "particles.seed": 0}
+# the per-kappa ladders, whose default null stands for a list of numbers
+_LADDERS = ("sweep.dts", "sweep.t_ends")
 
 
 def _merge(base: dict, extra: dict, path="") -> dict:
@@ -148,6 +137,27 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _check_leaves(doc: dict, defaults: dict = DEFAULTS, path: str = "") -> None:
+    """Check each leaf of doc by the type of its default: an int takes
+    _integer, normalized in place; a float, _real; a list of numbers, or a
+    ladder that is not null, _real on each entry.  Their owners check the
+    other leaves: the strings, initial.terms and output.dir."""
+    for key, default in defaults.items():
+        name, value = path + key, doc[key]
+        if isinstance(default, dict):
+            _check_leaves(value, default, name + ".")
+        elif isinstance(default, int):
+            doc[key] = _integer(value, name, _LOWER_BOUNDS.get(name))
+        elif isinstance(default, float):
+            _real(value, name)
+        elif (isinstance(default, list) and all(isinstance(v, (int, float)) for v in default)
+              or name in _LADDERS and value is not None):
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name}: must be a list of numbers, got {value!r}")
+            for entry in value:
+                _real(entry, name)
+
+
 def _build_initial(ini: dict, box: DomainBox) -> ScalarField:
     amplitude = float(ini["amplitude"])
     if ini["kind"] == "mode":
@@ -168,15 +178,13 @@ def _build_launch_box(box: DomainBox, par: dict) -> DomainBox:
         return DomainBox(box.half_width_x, box.half_width_y,
                          par["grid_nx"], par["grid_ny"])
     except ConfigError as exc:
-        raise ConfigError(str(exc).replace("box.n", "particles.grid_n")) from None
+        raise ConfigError(str(exc).replace("domain.n", "particles.grid_n")) from None
 
 
 def _build_velocity(dom: dict, params: AnisotropyParams) -> VelocityField:
-    family = dom["family"]
-    amp = float(dom["amplitude"])
-    eps = float(dom["epsilon"])
+    family, amp, eps = dom["family"], float(dom["amplitude"]), float(dom["epsilon"])
     if family == "zero":
-        return VelocityField.zero()
+        return VelocityField(family="zero", regularization=eps)
     if family == "stream":
         return make_velocity(params, amp, eps)
     if family == "shear":
@@ -185,7 +193,7 @@ def _build_velocity(dom: dict, params: AnisotropyParams) -> VelocityField:
 
 
 def build_config(doc: dict) -> RunConfig:
-    """Validate a fully merged document into module objects.
+    """Validate a fully merged document into module objects, in one pass.
 
     Integer fields are normalized in place (1e4 becomes 10000); float
     fields are checked but left as given, so the manifest echoes them.
@@ -198,21 +206,7 @@ def build_config(doc: dict) -> RunConfig:
     dom, sol, ini = doc["domain"], doc["solver"], doc["initial"]
     par, sweep = doc["particles"], doc["sweep"]
     try:
-        for path, lo in _INTEGER_FIELDS.items():
-            section, field = path.split(".")
-            doc[section][field] = _integer(doc[section][field], path, lo)
-        for path in _FLOAT_FIELDS:
-            section, field = path.split(".")
-            _real(doc[section][field], path)
-        for path, optional in _FLOAT_LISTS.items():
-            section, field = path.split(".")
-            values = doc[section][field]
-            if values is None and optional:
-                continue
-            if not isinstance(values, (list, tuple)):
-                raise ConfigError(f"{path}: must be a list of numbers, got {values!r}")
-            for value in values:
-                _real(value, path)
+        _check_leaves(doc)
         ini["terms"] = [[_integer(mx, "initial.terms"), _integer(my, "initial.terms"),
                          kind, _real(amp, "initial.terms")]
                         for mx, my, kind, amp in fourier_terms(ini["terms"])]
@@ -232,7 +226,7 @@ def build_config(doc: dict) -> RunConfig:
             t = (check_checkpoint(par["times"], solver.dt, solver.record_every)[0]
                  if experiment == "fdr" else float(par["t"]))
             time_grid(velocity, t, solver.kappa, par["n"], float(par["ds"]))
-        check_sweep(sweep["kappas"], sweep["dts"], sweep["t_ends"])
+        check_sweep(sweep["kappas"], solver, sweep["dts"], sweep["t_ends"])
         check_window(sweep["window"], "sweep.window")
         outdir = doc["output"]["dir"]
         if outdir is not None and not isinstance(outdir, str):

@@ -9,6 +9,9 @@ are `profile` with the anisotropy exponents p and q:
 With eps = 0 these reduce to |x|^p and |y|^q; a positive eps keeps the
 profiles smooth at the axes so that derivatives (and hence the velocity)
 stay bounded for exponents below 2.
+
+Errors name the config fields a user sets (domain.Lx for half_width_x,
+domain.epsilon for the regularization, which is >= 0 for every family).
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ class AnisotropyParams:
         for name in ("p", "q", "alpha", "beta"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
-                raise ConfigError(f"params.{name}: must be a positive finite real, got {v}")
+                raise ConfigError(f"domain.{name}: must be a positive finite real, got {v}")
 
 
 @dataclass(frozen=True)
@@ -52,14 +55,13 @@ class DomainBox:
     ny: int = 128
 
     def __post_init__(self):
-        if not (np.isfinite(self.half_width_x) and self.half_width_x > 0):
-            raise ConfigError(f"box.half_width_x: must be > 0, got {self.half_width_x}")
-        if not (np.isfinite(self.half_width_y) and self.half_width_y > 0):
-            raise ConfigError(f"box.half_width_y: must be > 0, got {self.half_width_y}")
+        for name, half in (("Lx", self.half_width_x), ("Ly", self.half_width_y)):
+            if not (np.isfinite(half) and half > 0):
+                raise ConfigError(f"domain.{name}: must be > 0, got {half}")
         for name in ("nx", "ny"):
             n = getattr(self, name)
             if not isinstance(n, (int, np.integer)) or n < 8 or n % 2 != 0:
-                raise ConfigError(f"box.{name}: must be an even integer >= 8, got {n!r}")
+                raise ConfigError(f"domain.{name}: must be an even integer >= 8, got {n!r}")
 
     @property
     def hx(self) -> float:
@@ -137,7 +139,7 @@ def profile(s, exponent: float, epsilon: float = 0.0):
     Equals |s|^exponent exactly when epsilon is 0; even in s for any epsilon.
     """
     if epsilon < 0:
-        raise ConfigError(f"epsilon: must be >= 0, got {epsilon}")
+        raise ConfigError(f"domain.epsilon: must be >= 0, got {epsilon}")
     s = np.asarray(s, dtype=float)
     return _pow_half(s * s + epsilon * epsilon, exponent / 2.0)
 
@@ -178,16 +180,14 @@ class VelocityField:
 
     def __post_init__(self):
         if self.family not in ("stream", "shear", "constant", "zero"):
-            raise ConfigError(f"velocity.family: unknown family {self.family!r}")
+            raise ConfigError(f"domain.family: unknown family {self.family!r}")
+        if not self.regularization >= 0:
+            raise ConfigError(f"domain.epsilon: must be >= 0, got {self.regularization}")
         if self.family in ("stream", "shear"):
             if self.params is None:
                 raise ConfigError(f"velocity.params: required for family {self.family!r}")
             if not np.isfinite(self.amplitude):
-                raise ConfigError("velocity.amplitude: must be finite")
-            if self.regularization < 0:
-                raise ConfigError(
-                    f"velocity.regularization: must be >= 0, got {self.regularization}"
-                )
+                raise ConfigError("domain.amplitude: must be finite")
 
     @property
     def is_zero(self) -> bool:
@@ -242,15 +242,15 @@ def make_velocity(params: AnisotropyParams, amplitude: float,
                   epsilon: float) -> VelocityField:
     """Stream-function field with the prescribed anisotropy.
 
-    amplitude == 0 gives the zero field (a pure-diffusion run).  Otherwise
-    epsilon must be positive when either exponent is below 1, or the
-    velocity components are unbounded near the axes.
+    amplitude == 0 gives the zero field (a pure-diffusion run).  epsilon
+    must be >= 0, and > 0 when either exponent is below 1, or the velocity
+    components are unbounded near the axes.
     """
-    if amplitude == 0.0:
+    if amplitude == 0.0 and epsilon >= 0.0:
         return VelocityField.zero()
     if epsilon <= 0.0 and (params.p < 1.0 or params.q < 1.0):
         raise ConfigError(
-            f"velocity.regularization: must be > 0 when p < 1 or q < 1 "
+            f"domain.epsilon: must be > 0 when p < 1 or q < 1 "
             f"(got epsilon={epsilon}, p={params.p}, q={params.q})"
         )
     return VelocityField(family="stream", params=params, amplitude=amplitude,

@@ -50,8 +50,9 @@ class ScalarField:
 def fourier_mode(box: DomainBox, mx: int = 1, my: int = 1,
                  amplitude: float = 1.0) -> ScalarField:
     """sin(pi mx x / Lx) * sin(pi my y / Ly), mean-zero by symmetry."""
-    if mx < 1 or my < 1:
-        raise ConfigError(f"initial.mode: mode numbers must be >= 1, got ({mx}, {my})")
+    for name, m in (("initial.mx", mx), ("initial.my", my)):
+        if m < 1:
+            raise ConfigError(f"{name}: must be >= 1, got {m}")
     sx = np.sin(np.pi * mx * box.x_centers() / box.half_width_x)
     sy = np.sin(np.pi * my * box.y_centers() / box.half_width_y)
     vals = np.multiply.outer(amplitude * sx, sy)

@@ -61,10 +61,19 @@ class SolverConfig:
                 "solver.record_every: record_every * dt exceeds t_end "
                 f"({self.record_every} * {self.dt} > {self.t_end})"
             )
+        whole_steps(self.t_end, self.dt, "solver.t_end")
 
     def n_steps(self) -> int:
-        n = int(round(self.t_end / self.dt))
-        return max(n, 1)
+        return round(self.t_end / self.dt)
+
+
+def whole_steps(t: float, dt: float, name: str) -> int:
+    """round(t / dt), the number of steps dt that end at t; a ConfigError
+    naming the field name when t is no whole number of them (to 1e-9)."""
+    steps = round(t / dt)
+    if abs(steps * dt - t) > 1e-9 * abs(t):
+        raise ConfigError(f"{name}: {t} is not a whole number of solver steps dt={dt}")
+    return steps
 
 
 def check_cfl(cfg: SolverConfig, velocity: VelocityField, box: DomainBox) -> None:

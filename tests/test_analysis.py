@@ -211,9 +211,7 @@ def scale_invariant_sweep(box, kappas):
     cfg = SolverConfig(kappa=kappas[0], dt=1e-2, t_end=1.0, record_every=1)
     dts = [4e-4 / k for k in kappas]
     t_ends = [0.07 / k for k in kappas]
-    return sweep_and_fit(kappas, rho, VelocityField.zero(), cfg,
-                         params=AnisotropyParams(p=2, q=3),
-                         dts=dts, t_ends=t_ends)
+    return sweep_and_fit(kappas, rho, VelocityField.zero(), cfg, dts=dts, t_ends=t_ends)
 
 
 class TestSweepAndFit:
@@ -235,7 +233,6 @@ class TestSweepAndFit:
         fit = scale_invariant_sweep(box, [1e-3, 5e-3, 2e-2, 1e-1])
         print(f"\nmini u=0 sweep: slope={fit.slope:.8f} +/- {fit.ci95:.2e}")
         assert abs(fit.slope - 1.0) <= max(fit.ci95, 1e-6)
-        assert fit.theoretical == pytest.approx(6 / 7)
 
     def test_deterministic(self):
         box = DomainBox(1.0, 1.0, 32, 32)
@@ -293,8 +290,7 @@ class TestSweepAndFit:
         # t_end far too short for any kappa to decay below 90%
         cfg = SolverConfig(kappa=1e-3, dt=1e-3, t_end=0.01, record_every=1)
         with pytest.raises(SweepError) as err:
-            sweep_and_fit([1e-3, 2e-3, 5e-3, 1e-2], rho, VelocityField.zero(),
-                          cfg, params=AnisotropyParams(p=2, q=3))
+            sweep_and_fit([1e-3, 2e-3, 5e-3, 1e-2], rho, VelocityField.zero(), cfg)
         assert len(err.value.failures) == 4
 
     def test_minority_failures_tolerated(self):
@@ -306,7 +302,6 @@ class TestSweepAndFit:
         # first kappa gets a t_end too short to decay; the other four fit
         t_ends = [0.4] + [0.07 / k for k in kappas[1:]]
         fit = sweep_and_fit(kappas, rho, VelocityField.zero(), cfg,
-                            params=AnisotropyParams(p=2, q=3),
                             dts=dts, t_ends=t_ends)
         assert fit.kappas.size == 4
         assert fit.kappas[0] == pytest.approx(5e-3)
@@ -384,8 +379,7 @@ class TestExponentReport:
         fit = ExponentFit(kappas=np.array([1e-3, 1e-2, 1e-1, 1.0]),
                           rates=np.array([0.01, 0.1, 0.5, 2.0]),
                           rate_stderrs=np.zeros(4), fit_r2s=np.ones(4),
-                          slope=0.699, intercept=0.0, ci95=0.012, loglog_r2=0.999,
-                          theoretical=6 / 7)
+                          slope=0.699, intercept=0.0, ci95=0.012, loglog_r2=0.999)
         text = exponent_report(AnisotropyParams(p=2, q=3), fit)
         assert "0.699" in text
         assert "95% CI" in text
@@ -394,8 +388,7 @@ class TestExponentReport:
         with pytest.raises(ConfigError):
             ExponentFit(kappas=np.array([1e-2, 1e-1]), rates=np.array([0.1, 0.5]),
                         rate_stderrs=np.zeros(2), fit_r2s=np.ones(2),
-                        slope=1.0, intercept=0.0, ci95=0.0, loglog_r2=1.0,
-                        theoretical=None)
+                        slope=1.0, intercept=0.0, ci95=0.0, loglog_r2=1.0)
         with pytest.raises(ConfigError):
             DecayFit(rate=1.0, prefactor=1.0, window=(2.0, 1.0),
                      r_squared=1.0, rate_stderr=0.0)

@@ -7,6 +7,7 @@ import pytest
 from anisodiff import analysis
 from anisodiff.analysis import figure1_curve, figure2_surface
 from anisodiff.cli import main
+from anisodiff.config import DEFAULTS
 from anisodiff.manifest import load_manifest, sha256_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -221,13 +222,14 @@ class TestFdr:
         assert np.all(np.isfinite(rows[:, 3])) and np.all(rows[:, 3] > 0)
         assert (out / "fdr_stderr.txt").exists()
 
-    def test_checkpoint_off_solver_grid_exits_2(self, tmp_path):
+    def test_checkpoint_off_solver_grid_exits_2(self, tmp_path, capsys):
         doc = self.make_doc(0.05)
-        doc["solver"]["dt"] = 3e-3
-        doc["particles"]["times"] = [1.0]
+        doc["solver"].update(dt=3e-3, t_end=0.3)   # solver.t_end on the grid
+        doc["particles"]["times"] = [1.0]          # 333.33 steps
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "offgrid"
         assert main(["fdr", "--config", cfg, "--out", str(out)]) == 2
+        assert "particles.times" in capsys.readouterr().err
         assert not out.exists()
 
     def test_monte_carlo_blowup_exits_3(self, tmp_path, monkeypatch):
@@ -528,6 +530,20 @@ BAD_CONFIGS = [
     ("sweep", ["sweep.window=[0.1,0.5,0.9]"], "sweep.window"),
     ("fdr", ["particles.times=[0.25,0.5]", "solver.record_every=10"],
      "particles.times"),
+    ("pde", ["domain.nx=9"], "domain.nx"),
+    ("pde", ["domain.Lx=-1"], "domain.Lx"),
+    ("pde", ["domain.p=-1"], "domain.p"),
+    ("pde", ["domain.alpha=0"], "domain.alpha"),
+    ("pde", ["domain.family=stream", "domain.p=0.5", "domain.epsilon=0"], "domain.epsilon"),
+    ("pde", ["domain.family=stream", "domain.epsilon=-1"], "domain.epsilon"),
+    ("pde", ["domain.family=zero", "domain.epsilon=-1"], "domain.epsilon"),
+    ("pde", ["initial.kind=random", "initial.max_mode=0"], "initial.max_mode"),
+    ("pde", ["initial.kind=random", "initial.max_mode=-2"], "initial.max_mode"),
+    ("pde", ["initial.mx=0"], "initial.mx"),
+    ("pde", ["initial.my=0"], "initial.my"),
+    ("pde", ["solver.t_end=1", "solver.record_every=1", "solver.dt=0.3"], "solver.t_end"),
+    ("pde", ["solver.t_end=1", "solver.record_every=1", "solver.dt=0.4"], "solver.t_end"),
+    ("pde", ["solver.t_end=1", "solver.record_every=1", "solver.dt=0.6"], "solver.t_end"),
 ]
 
 
@@ -544,6 +560,41 @@ def test_bad_config_exits_2_before_compute(tmp_path, monkeypatch, capsys,
     assert main(argv) == 2
     assert named in capsys.readouterr().err
     assert calls == [] and not out.exists()
+
+
+def config_leaves(section=DEFAULTS, path=""):
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, f"{path}{key}.")
+        else:
+            yield path + key
+
+
+@pytest.mark.parametrize("leaf", list(config_leaves()))
+def test_every_field_rejects_a_bool(tmp_path, monkeypatch, capsys, leaf):
+    # each field's type is its default's in DEFAULTS, and no default is a bool
+    calls = count_solver_runs(monkeypatch)
+    out = tmp_path / "x"
+    assert main(["pde", "--out", str(out), "--set", f"{leaf}=true"]) == 2
+    assert leaf in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("ladder,named", [
+    ("sweep.dts=[0.4,0.08,0.02,-0.004]", "sweep.dts"),
+    ("sweep.dts=[0.4,0.08,0.02,true]", "sweep.dts"),
+    ("sweep.t_ends=[70.0,14.0,3.5,0.65]", "sweep.t_ends"),   # 162.5 steps of 0.004
+])
+def test_bad_sweep_ladder_exits_2_before_any_run(tmp_path, monkeypatch, capsys,
+                                                 ladder, named):
+    calls = count_solver_runs(monkeypatch)
+    pools = []   # the sweep's runs execute in worker processes the spy cannot see
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", write_config(tmp_path, SWEEP_DOC),
+                 "--out", str(out), "--set", ladder]) == 2
+    assert named in capsys.readouterr().err
+    assert calls == [] and pools == [] and not out.exists()
 
 
 @pytest.mark.parametrize("section", ["domain={}", "output={}", 'solver={"kappa":0.5}'])
