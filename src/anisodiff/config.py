@@ -214,6 +214,10 @@ def build_config(doc: dict) -> RunConfig:
                                   alpha=dom["alpha"], beta=dom["beta"])
         box = DomainBox(half_width_x=float(dom["Lx"]), half_width_y=float(dom["Ly"]),
                         nx=dom["nx"], ny=dom["ny"])
+        nyquist = min(box.nx, box.ny) // 2   # higher modes only alias on the grid
+        if ini["max_mode"] > nyquist:
+            raise ConfigError(f"initial.max_mode: must be <= min(domain.nx, domain.ny) // 2 "
+                              f"= {nyquist}, got {ini['max_mode']}")
         velocity = _build_velocity(dom, params)
         solver = SolverConfig(kappa=float(sol["kappa"]), dt=float(sol["dt"]),
                               t_end=float(sol["t_end"]), scheme=sol["scheme"],

@@ -82,23 +82,24 @@ class DomainBox:
         return np.meshgrid(self.x_centers(), self.y_centers(), indexing="ij")
 
     def wrap_x(self, x):
-        """x folded into [-Lx, Lx), with the bits of numpy's floored
-        remainder mod(x + Lx, 2 Lx) - Lx for every input.
+        """x folded into [-Lx, Lx) in a new float array, with the bits of
+        numpy's floored remainder mod(x + Lx, 2 Lx) - Lx for every input.
 
         An array whose every x + Lx lies in [-2 Lx, 4 Lx), about one period
         either side of the box, is folded by at most one period; 0-d input,
         an empty array, NaN, inf or any point farther out sends the whole
         call to numpy's remainder.
         """
-        return _wrap(x, self.half_width_x)
+        return _wrap_in_place(np.array(x, dtype=float), self.half_width_x)
 
     def wrap_y(self, y):
         """y folded into [-Ly, Ly); the contract of wrap_x with Ly."""
-        return _wrap(y, self.half_width_y)
+        return _wrap_in_place(np.array(y, dtype=float), self.half_width_y)
 
 
-def _wrap(s, half: float):
-    """mod(s + half, 2 half) - half, bit for bit as numpy computes it.
+def _wrap_in_place(s: np.ndarray, half: float) -> np.ndarray:
+    """Fold s, a float array the caller owns, into [-half, half) in place and
+    return it: mod(s + half, 2 half) - half, bit for bit as numpy computes it.
 
     With every t = s + half in [-2 half, 4 half), subtracting the period
     where t >= period and adding it where t < 0 gives numpy's bits: there
@@ -107,12 +108,18 @@ def _wrap(s, half: float):
     fails for NaN and inf, so they take the remainder too.
     """
     period = 2.0 * half
-    t = np.asarray(s) + half
-    if t.ndim == 0 or t.size == 0 or not (-period <= t.min() and t.max() < 2.0 * period):
-        return np.mod(t, period) - half
-    np.subtract(t, period, out=t, where=t >= period)
-    np.add(t, period, out=t, where=t < 0.0)
-    return t - half
+    s += half
+    # NaN bounds fail the range check, so 0-d and empty arrays take the remainder
+    lo, hi = (s.min(), s.max()) if s.ndim and s.size else (np.nan, np.nan)
+    if not (-period <= lo and hi < 2.0 * period):
+        np.mod(s, period, out=s)
+    else:   # each pass runs only if some t needs it
+        if hi >= period:
+            np.subtract(s, period, out=s, where=s >= period)
+        if lo < 0.0:
+            np.add(s, period, out=s, where=s < 0.0)
+    s -= half
+    return s
 
 
 def _pow_half(base, half_exponent: float):
@@ -144,18 +151,34 @@ def profile(s, exponent: float, epsilon: float = 0.0):
     return _pow_half(s * s + epsilon * epsilon, exponent / 2.0)
 
 
-def _profile_derivative(s, exponent: float, epsilon: float):
-    # d/ds (s^2 + eps^2)^(m/2) = m * s * (s^2 + eps^2)^(m/2 - 1)
-    s = np.asarray(s, dtype=float)
-    base = s * s + epsilon * epsilon
+def _profile_and_slope(s, exponent: float, epsilon: float):
+    """(profile(s, exponent, epsilon), its derivative in s), both from one
+    base = s^2 + eps^2 and in new arrays, with the bits of evaluating each
+    on its own.
+
+    d/ds (s^2 + eps^2)^(m/2) = m * s * (s^2 + eps^2)^(m/2 - 1).  At m = 3 the
+    profile and the slope share one sqrt; at m = 2 the slope's power is 1
+    and is not multiplied in.
+    """
+    base = s * s
+    base += epsilon * epsilon
+    half = exponent / 2.0
     if epsilon == 0.0 and exponent < 2.0:
         # 0 * base^(negative) is 0/0 at the axis; the one-sided limit is 0
         # for exponent > 1 and bounded for exponent == 1, so pin it to 0.
-        out = np.zeros_like(s)
+        slope = np.zeros_like(s)
         nz = s != 0.0
-        out[nz] = exponent * s[nz] * _pow_half(base[nz], exponent / 2.0 - 1.0)
-        return out
-    return exponent * s * _pow_half(base, exponent / 2.0 - 1.0)
+        slope[nz] = exponent * s[nz] * _pow_half(base[nz], half - 1.0)
+        return _pow_half(base, half), slope
+    slope = exponent * s
+    if half == 1.5:
+        root = np.sqrt(base)
+        slope *= root
+        root *= base
+        return root, slope
+    if half != 1.0:
+        slope *= _pow_half(base, half - 1.0)
+    return _pow_half(base, half), slope
 
 
 @dataclass(frozen=True)
@@ -212,7 +235,8 @@ class VelocityField:
                    regularization=epsilon)
 
     def velocity(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """Component arrays (u_x, u_y) at the given coordinates."""
+        """Component arrays (u_x, u_y) at the given coordinates, new arrays
+        that the caller may overwrite."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if self.family == "zero":
@@ -224,12 +248,16 @@ class VelocityField:
         a = self.amplitude
         if self.family == "shear":
             return a * profile(y, self.params.q, eps), np.zeros_like(y)
-        # stream family: u = (psi_y, -psi_x)
-        fx = profile(x, self.params.p, eps)
-        gy = profile(y, self.params.q, eps)
-        dfx = _profile_derivative(x, self.params.p, eps)
-        dgy = _profile_derivative(y, self.params.q, eps)
-        return a * fx * dgy, -a * dfx * gy
+        # stream family: u = (psi_y, -psi_x) = (a * f * g', -a * f' * g)
+        if x.shape != y.shape:
+            x, y = np.broadcast_arrays(x, y)
+        ux, dfx = _profile_and_slope(x, self.params.p, eps)
+        gy, dgy = _profile_and_slope(y, self.params.q, eps)
+        ux *= a
+        ux *= dgy
+        dfx *= -a
+        dfx *= gy
+        return ux, dfx
 
     def max_speed(self, box: DomainBox) -> float:
         """Largest per-component speed sampled on the box grid (CFL input)."""

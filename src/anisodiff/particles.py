@@ -27,11 +27,15 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .domain import DomainBox, VelocityField
+from .domain import DomainBox, VelocityField, _wrap_in_place
 from .errors import ConfigError
 from .fields import ScalarField, sample_many
 
-_POINT_CHUNK = 32  # launch points vectorized together per batch
+# A batch of launch points vectorized together holds at most _POINT_CHUNK
+# points and _CHUNK_TRAJECTORIES trajectories: at n = 10 000 that is 8 points,
+# whose (8, n) arrays of 640 KB leave a step's temporaries room in a 2 MB L2.
+_POINT_CHUNK = 32
+_CHUNK_TRAJECTORIES = 80_000
 
 
 def _cpu_count() -> int:
@@ -51,20 +55,27 @@ def _em_step(box: DomainBox, velocity: VelocityField, x, y, ds: float,
              noise_x=None, noise_y=None):
     """Euler-Maruyama update: drift -u * ds, plus the caller's noise, wrapped.
 
-    With neither drift (zero field) nor noise the positions are returned
-    as given: wrapping would change the last bits of the cell centres of a
-    box whose width is not a power of two.
+    Returns new arrays and never writes into x, y or the noise: the update
+    runs in place in the velocity's own output arrays.  With neither drift
+    (zero field) nor noise the positions are returned as given: wrapping
+    would change the last bits of the cell centres of a box whose width is
+    not a power of two.
     """
-    if not velocity.is_zero:
-        ux, uy = velocity.velocity(x, y)
-        x = x - ux * ds
-        y = y - uy * ds
-    if noise_x is not None:
-        x = x + noise_x
-        y = y + noise_y
-    elif velocity.is_zero:
-        return x, y
-    return box.wrap_x(x), box.wrap_y(y)
+    if velocity.is_zero:
+        if noise_x is None:
+            return x, y
+        x_new, y_new = x + noise_x, y + noise_y
+    else:
+        x_new, y_new = velocity.velocity(x, y)
+        x_new *= ds
+        y_new *= ds
+        np.subtract(x, x_new, out=x_new)
+        np.subtract(y, y_new, out=y_new)
+        if noise_x is not None:
+            x_new += noise_x
+            y_new += noise_y
+    return (_wrap_in_place(x_new, box.half_width_x),
+            _wrap_in_place(y_new, box.half_width_y))
 
 
 def time_grid(velocity: VelocityField, t: float, kappa: float, n: int,
@@ -175,10 +186,11 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     point coincide, so it follows one, noise-free, and its moments give
     exactly zero variance and var_of_var.
 
-    Chunks of _POINT_CHUNK launch points run on one thread per available
-    CPU (at most one per chunk).  Every point draws from its own substream,
-    so the result is bit-identical for any thread count; the chunk memory
-    in flight grows with it.
+    Chunks of min(_POINT_CHUNK, _CHUNK_TRAJECTORIES // n) launch points (at
+    least one) run on one thread per available CPU (at most one per chunk).
+    Every point draws from its own substream, so the result is bit-identical
+    for any chunk size and thread count; the chunk memory in flight grows
+    with the thread count.
     """
     m, ds_eff = time_grid(velocity, t, kappa, n, ds)
     box = launch_box if launch_box is not None else rho0.box
@@ -193,7 +205,7 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
 
     # kappa = 0: one trajectory per point, and no generators to batch by chunk
     noisy = kappa > 0.0
-    chunk = _POINT_CHUNK if noisy else n_points
+    chunk = max(1, min(_POINT_CHUNK, _CHUNK_TRAJECTORIES // n)) if noisy else n_points
     n_traj = n if noisy else 1
 
     def run_chunk(start: int) -> None:

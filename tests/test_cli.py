@@ -539,6 +539,10 @@ BAD_CONFIGS = [
     ("pde", ["domain.family=zero", "domain.epsilon=-1"], "domain.epsilon"),
     ("pde", ["initial.kind=random", "initial.max_mode=0"], "initial.max_mode"),
     ("pde", ["initial.kind=random", "initial.max_mode=-2"], "initial.max_mode"),
+    ("pde", ["initial.kind=random", "domain.nx=16", "domain.ny=8", "initial.max_mode=5"],
+     "initial.max_mode"),
+    ("sde", ["initial.kind=random", "initial.max_mode=17"], "initial.max_mode"),
+    ("pde", ["initial.max_mode=10000"], "initial.max_mode"),
     ("pde", ["initial.mx=0"], "initial.mx"),
     ("pde", ["initial.my=0"], "initial.my"),
     ("pde", ["solver.t_end=1", "solver.record_every=1", "solver.dt=0.3"], "solver.t_end"),
@@ -651,3 +655,11 @@ def test_integral_float_reads_as_integer(tmp_path):
     echoed = load_manifest(out / "manifest.json")["config"]["particles"]["n"]
     assert echoed == 100 and isinstance(echoed, int)
     assert read_csv(out / "sde.csv")[1][0, 0] == 100
+
+
+def test_max_mode_up_to_the_nyquist_mode_runs(tmp_path):
+    # min(nx, ny) // 2 = 4 on a 16 x 8 grid: the highest mode the grid resolves
+    out = tmp_path / "sde"
+    assert main(["sde", "--config", write_config(tmp_path, MANIFEST_CASES["sde"]),
+                 "--out", str(out), "--set", "initial.kind=random", "--set", "domain.nx=16",
+                 "--set", "domain.ny=8", "--set", "initial.max_mode=4"]) == 0

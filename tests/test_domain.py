@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisodiff.domain import (AnisotropyParams, DomainBox, VelocityField,
-                              divergence_residual, make_velocity, profile)
+                              _wrap_in_place, divergence_residual, make_velocity,
+                              profile)
 from anisodiff.errors import ConfigError
 
 
@@ -101,17 +102,85 @@ class TestWrapBits:
     @pytest.mark.parametrize("half", [1.0, 0.7, 1.0 / 3.0, 2.5, 1e-3])
     def test_edge_values(self, half):
         box = DomainBox(half, 2.0 * half, 8, 8)
-        edges = []
-        for v in (half, -half, 3.0 * half, -3.0 * half):
-            edges += [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
-        edges = np.array(edges + [0.0, -0.0, 1e-300, -1e-300])
-        cases = [edges, edges.reshape(4, 4), np.append(edges, np.nan),
-                 np.append(edges, np.inf), np.append(edges, -np.inf),
-                 np.array([]), np.array(-0.0), np.array(half), half, -half, 0.25]
         with np.errstate(invalid="ignore"):     # np.mod of inf
-            for s in cases:
+            for s in wrap_edge_cases(half):
                 assert_same_bits(box.wrap_x(s), mod_wrap(s, box.half_width_x))
                 assert_same_bits(box.wrap_y(s), mod_wrap(s, box.half_width_y))
+
+    @pytest.mark.parametrize("half", [1.0, 0.7, 1.0 / 3.0, 2.5, 1e-3])
+    def test_in_place_fold_matches_wrap(self, half):
+        # the core the particle step folds its own arrays with: same bits as
+        # wrap_x, in the array it was given
+        box = DomainBox(half, half, 8, 8)
+        with np.errstate(invalid="ignore"):
+            for s in wrap_edge_cases(half):
+                owned = np.array(s, dtype=float)
+                got = _wrap_in_place(owned, half)
+                assert got is owned
+                assert_same_bits(got, box.wrap_x(s))
+                assert_same_bits(got, mod_wrap(s, half))
+
+
+def wrap_edge_cases(half):
+    """Inputs on both paths of the fold: within one period of the box, and
+    NaN, inf, 0-d and empty inputs, which take numpy's remainder."""
+    edges = []
+    for v in (half, -half, 3.0 * half, -3.0 * half):
+        edges += [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
+    edges = np.array(edges + [0.0, -0.0, 1e-300, -1e-300])
+    # [half, -half]: t = period is the only point the fold's subtraction moves
+    return [edges, edges.reshape(4, 4), np.array([half, -half]), np.append(edges, np.nan),
+            np.append(edges, np.inf), np.append(edges, -np.inf),
+            np.array([]), np.array(-0.0), np.array(half), half, -half, 0.25]
+
+
+def slope(s, m, eps):
+    """d/ds profile(s, m, eps) = m * s * profile(s, m - 2, eps), unfused, pinned
+    to 0 on the axis when eps = 0 and m < 2."""
+    s = np.asarray(s, dtype=float)
+    if eps == 0.0 and m < 2.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(s == 0.0, 0.0, m * s * profile(s, m - 2, eps))
+    return m * s * profile(s, m - 2, eps)
+
+
+# exponents m whose half m/2 and m/2 - 1 reach every path of _pow_half:
+# 0, 1/2, 1, 3/2, 2 and np.power
+EXPONENTS = [1, 2, 3, 4, 5, 2.5]
+
+
+class TestFusedVelocityBits:
+    """VelocityField.velocity gives the bits of the unfused formulas
+    a f(x) g'(y) and -a f'(x) g(y), each factor evaluated on its own."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(8)
+        s = np.concatenate([rng.uniform(-1.0, 1.0, 40), [0.0, -0.0, 1e-3, -1.0, 0.5]])
+        xg, yg = np.meshgrid(s, s[::-1], indexing="ij")   # includes both axes
+        return [(xg, yg), (s[:, None], s[None, ::-1]), (np.array(0.0), np.array(0.7)),
+                (0.3, -0.4)]
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @pytest.mark.parametrize("q", EXPONENTS)
+    @pytest.mark.parametrize("p", EXPONENTS)
+    def test_stream(self, p, q, eps):
+        a = 0.7
+        vel = VelocityField("stream", AnisotropyParams(p=p, q=q), a, eps)
+        for x, y in self.points():
+            ux, uy = vel.velocity(x, y)
+            assert_same_bits(ux, a * profile(x, p, eps) * slope(y, q, eps))
+            assert_same_bits(uy, -a * slope(x, p, eps) * profile(y, q, eps))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @pytest.mark.parametrize("q", EXPONENTS)
+    def test_shear(self, q, eps):
+        a = 0.7
+        vel = VelocityField.shear(AnisotropyParams(p=2, q=q), a, eps)
+        for x, y in self.points():
+            ux, uy = vel.velocity(x, y)
+            assert_same_bits(ux, a * profile(y, q, eps))
+            assert_same_bits(uy, np.zeros_like(np.asarray(y, dtype=float)))
 
 
 class TestMakeVelocity:

@@ -116,6 +116,49 @@ class TestStrongOrder:
         assert 1.3 < d42 / d21 < 3.0
 
 
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+STEP_FIELDS = {
+    "stream23": make_velocity(AnisotropyParams(p=2, q=3), 0.7, 1e-3),
+    "stream1.5_1": make_velocity(AnisotropyParams(p=1.5, q=1), 0.7, 1e-2),
+    "shear": VelocityField.shear(AnisotropyParams(p=2, q=3), 0.7),
+    "constant": VelocityField.of_constant(0.3, -2.9),
+    "zero": VelocityField.zero(),
+}
+
+
+class TestEmStep:
+    """_em_step equals the unfused wrap(x - u ds + noise) bit for bit, in new
+    arrays, and leaves its inputs as they were."""
+
+    @pytest.mark.parametrize("ds", [0.01, 2.0])   # 2.0: constant's step leaves the fold
+    @pytest.mark.parametrize("noisy", [True, False])
+    @pytest.mark.parametrize("name", sorted(STEP_FIELDS))
+    def test_unfused_bits_and_untouched_inputs(self, name, noisy, ds):
+        velocity = STEP_FIELDS[name]
+        box = DomainBox(0.7, 1.0, 8, 8)
+        rng = np.random.default_rng(5)
+        start = rng.uniform(-1.0, 1.0, (2, 3, 50)) * np.array([0.7, 1.0])[:, None, None]
+        x, y = start                                   # views of one array
+        noise = tuple(0.05 * rng.standard_normal((2, 3, 50))) if noisy else ()
+        before = [a.copy() for a in (start, *noise)]
+        got_x, got_y = particles._em_step(box, velocity, x, y, ds, *noise)
+        for a, b in zip((start, *noise), before):
+            assert_same_bits(a, b)
+        if velocity.is_zero and not noisy:
+            assert got_x is x and got_y is y
+            return
+        ux, uy = velocity.velocity(x, y)
+        want_x, want_y = x - ux * ds, y - uy * ds
+        if noisy:
+            want_x, want_y = want_x + noise[0], want_y + noise[1]
+        assert_same_bits(got_x, box.wrap_x(want_x))
+        assert_same_bits(got_y, box.wrap_y(want_y))
+
+
 class TestFeynmanKac:
     def test_rejects_degenerate_input(self, box64):
         rho = fourier_mode(box64, 1, 1)
@@ -268,6 +311,23 @@ class TestSingleKernel:
                 assert np.array_equal(vmap.var_of_var, ref_var.var_of_var), workers
         finally:
             sys.setswitchinterval(interval)
+
+    def test_trajectory_cap_sets_the_chunk(self, stream_case, monkeypatch):
+        """A chunk holds at most _CHUNK_TRAJECTORIES trajectories: 3 points of
+        n = 60 under a cap of 200, so the 80 points end in a chunk of 2."""
+        rho, vel, launch = stream_case
+        args = dict(t=0.2, kappa=0.05, n=60, ds=0.02, seed=17, launch_box=launch)
+        ref_mean, ref_var = feynman_kac(rho, vel, **args)
+        sizes = []
+        run = particles._trajectories
+        monkeypatch.setattr(particles, "_trajectories",
+                            lambda box, v, x0, *a: sizes.append(len(x0)) or run(box, v, x0, *a))
+        monkeypatch.setattr(particles, "_CHUNK_TRAJECTORIES", 200)
+        mean, vmap = feynman_kac(rho, vel, **args)
+        assert sorted(sizes) == [2] + [3] * 26
+        assert np.array_equal(mean.values, ref_mean.values)
+        assert np.array_equal(vmap.values, ref_var.values)
+        assert np.array_equal(vmap.var_of_var, ref_var.var_of_var)
 
     def test_endpoints_reproduce_feynman_kac_point(self, stream_case):
         """endpoints draws from feynman_kac's launch point 0 of stream 0."""

@@ -37,6 +37,7 @@ FDR = {**GRID32, "domain.amplitude": 0.5, "solver.dt": 0.01, "solver.t_end": 1.0
        "solver.record_every": 1, "particles.n": 50, "particles.ds": 0.0125,
        "particles.seed": 5, "particles.times": [0.25, 0.5],
        "particles.grid_nx": 8, "particles.grid_ny": 8}
+P15_Q1 = {"domain.p": 1.5, "domain.q": 1, "domain.epsilon": 1e-2}
 SWEEP = {**GRID32, "solver.kappa": 1e-3, "solver.record_every": 1,
          "sweep.kappas": [1e-3, 5e-3, 2e-2, 1e-1],
          "sweep.dts": [0.4, 0.08, 0.02, 0.004],
@@ -61,7 +62,13 @@ CASES = {
     "sde_far": ("sde", {**SDE, "domain.amplitude": 100.0, "particles.ds": 0.05,
                         "particles.t": 0.5, "particles.x0": 0.9, "particles.y0": 0.8,
                         "solver.kappa": 0.05}),
+    # p = 1.5, q = 1: the velocity's powers take np.power and sqrt
+    "sde_p1.5_q1_k0.05": ("sde", {**SDE, **P15_Q1, "solver.kappa": 0.05}),
+    # ... and at epsilon = 0, the slopes pinned to 0 on the axes
+    "sde_p1.5_q1_eps0_k0.05": ("sde", {**SDE, **P15_Q1, "domain.epsilon": 0.0,
+                                       "solver.kappa": 0.05}),
     "fdr_stream_k0.05": ("fdr", {**FDR, "solver.kappa": 0.05}),
+    "fdr_stream_p1.5_q1_k0.05": ("fdr", {**FDR, **P15_Q1, "solver.kappa": 0.05}),
     # 100 launch points: four chunks, the last of 4 points
     "fdr_stream_ragged_k0.05": ("fdr", {**FDR, "solver.kappa": 0.05,
                                         "particles.grid_nx": 10, "particles.grid_ny": 10}),
