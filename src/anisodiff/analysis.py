@@ -253,9 +253,11 @@ def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
 
     Runs are independent and execute in a process pool of
     min(CPUs this process may use, number of kappas) workers, the count
-    feynman_kac uses for its threads; results are merged by kappa index,
-    so the pool size cannot change a bit.  Individual fit failures are
-    tolerated up to half the sweep, then a SweepError carries the causes.
+    feynman_kac uses for its threads.  Processes, not threads: a thread pool
+    ran slower at 256x256 and adds about 10 MB of peak memory per concurrent
+    run.  Results are merged by kappa index, so the pool size cannot change
+    a bit.  Individual fit failures are tolerated up to half the sweep, then
+    a SweepError carries the causes.
 
     dts / t_ends, when given, override base_cfg per kappa (check_sweep).
     Fast decays need finer sampling, slow ones run much cheaper and less

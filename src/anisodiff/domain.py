@@ -124,10 +124,8 @@ def _wrap_in_place(s: np.ndarray, half: float) -> np.ndarray:
 
 def _pow_half(base, half_exponent: float):
     """(base)^(half_exponent) for base >= 0, with fast paths for the
-    exponents that dominate production runs (0, 1/2, 1, 3/2, 2)."""
+    exponents that dominate production runs (1/2, 1, 3/2, 2)."""
     e = float(half_exponent)
-    if e == 0.0:
-        return np.ones_like(np.asarray(base, dtype=float))
     if e == 0.5:
         return np.sqrt(base)
     if e == 1.0:

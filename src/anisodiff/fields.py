@@ -124,18 +124,19 @@ def mean_zero_project(f: ScalarField) -> ScalarField:
     return ScalarField(f.box, vals, mean_zero=True)
 
 
-def difference_gradient(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """Centered differences with periodic wraparound; O(h^2)."""
-    v = f.values
-    dx = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * f.box.hx)
-    dy = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * f.box.hy)
-    return dx, dy
-
-
 def grad_norm_sq(f: ScalarField) -> float:
-    """Quadrature of |grad rho|^2 with the centered-difference gradient."""
-    dx, dy = difference_gradient(f)
-    return float(np.sum(dx * dx + dy * dy) * f.box.hx * f.box.hy)
+    """Quadrature of |grad rho|^2 with the periodic centered-difference
+    gradient, O(h^2): (v[i+1] - v[i-1]) / 2h per axis, taken from slices."""
+    v = f.values
+    dx, dy = np.empty_like(v), np.empty_like(v)
+    for d, w, h in ((dx, v, f.box.hx), (dy.T, v.T, f.box.hy)):
+        np.subtract(w[2:], w[:-2], out=d[1:-1])
+        np.subtract(w[1], w[-1], out=d[0])
+        np.subtract(w[0], w[-2], out=d[-1])
+        d /= 2.0 * h
+        d *= d
+    dx += dy
+    return float(np.sum(dx) * f.box.hx * f.box.hy)
 
 
 def stencil_matrix(box: DomainBox, i, j, offsets, weights) -> sparse.csr_matrix:

@@ -145,7 +145,8 @@ def slope(s, m, eps):
 
 
 # exponents m whose half m/2 and m/2 - 1 reach every path of _pow_half:
-# 0, 1/2, 1, 3/2, 2 and np.power
+# 1/2, 1, 3/2, 2 and np.power, which takes half 0 (slope's profile(s, 0, eps)
+# at m = 2) and gives 1.0 for every base
 EXPONENTS = [1, 2, 3, 4, 5, 2.5]
 
 

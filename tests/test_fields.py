@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from anisodiff.domain import DomainBox
 from anisodiff.errors import ConfigError
-from anisodiff.fields import (MEAN_ZERO_TOL, ScalarField, difference_gradient,
-                              fourier_mode, fourier_sum, grad_norm_sq, l2_norm_sq,
-                              mean_zero_project, random_fourier_sum, sample_many,
-                              to_csv)
+from anisodiff.fields import (MEAN_ZERO_TOL, ScalarField, fourier_mode, fourier_sum,
+                              grad_norm_sq, l2_norm_sq, mean_zero_project,
+                              random_fourier_sum, sample_many, to_csv)
 
 
 def spectral_gradient(f):
@@ -23,6 +22,15 @@ def spectral_gradient(f):
     fh = np.fft.rfft2(f.values)
     dx = np.fft.irfft2(1j * kx[:, None] * fh, s=f.values.shape)
     dy = np.fft.irfft2(1j * ky[None, :] * fh, s=f.values.shape)
+    return dx, dy
+
+
+def roll_gradient(f):
+    """Centered differences with periodic wraparound from np.roll copies,
+    the formula grad_norm_sq must reproduce bit for bit."""
+    v = f.values
+    dx = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * f.box.hx)
+    dy = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * f.box.hy)
     return dx, dy
 
 
@@ -86,6 +94,17 @@ class TestGradNorm:
     def test_positive_unless_zero(self, box64):
         rho = mean_zero_project(random_fourier_sum(box64, 2, seed=9))
         assert grad_norm_sq(rho) > 0.0
+
+    @pytest.mark.parametrize("box", [
+        DomainBox(1.0, 1.0, 8, 8), DomainBox(0.7, 1.3, 24, 16), DomainBox(1.5, 1.0, 16, 32),
+        DomainBox(1.0, 1.0, 128, 128)], ids=["8sq", "24x16", "16x32", "128sq"])
+    def test_same_bits_as_roll_formula(self, box):
+        # same differences, divisions, squares, sum and scaling as np.roll's
+        rng = np.random.default_rng(box.nx * box.ny)
+        for scale in (1.0, 1e-7, 3e5):
+            f = ScalarField(box, scale * rng.standard_normal((box.nx, box.ny)))
+            dx, dy = roll_gradient(f)
+            assert grad_norm_sq(f) == float(np.sum(dx * dx + dy * dy) * box.hx * box.hy)
 
 
 class TestMeanZeroProject:
@@ -218,7 +237,7 @@ class TestConstructionAndCsv:
 def test_gradients_agree_on_smooth_field(box128):
     rho = fourier_mode(box128, 2, 2)
     sx, sy = spectral_gradient(rho)
-    dx, dy = difference_gradient(rho)
+    dx, dy = roll_gradient(rho)
     # centered differences approximate within O(h^2) pointwise
     scale = np.max(np.abs(sx))
     assert np.max(np.abs(sx - dx)) < 5e-3 * scale

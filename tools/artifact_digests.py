@@ -54,6 +54,9 @@ CASES = {
                         "initial.terms": [[1, 1, "ss", 1.0], [2, 1, "cs", 0.5]]}),
     "pde_non_dyadic": ("pde", {**PDE, **NON_DYADIC}),
     "pde_shear": ("pde", {**PDE, "domain.family": "shear"}),
+    # hx != hy and nx != ny, every step recorded: the gradient's two axes differ
+    "pde_rect": ("pde", {**PDE, "domain.nx": 32, "domain.ny": 16, "domain.Lx": 1.0,
+                         "domain.Ly": 0.5, "solver.record_every": 1}),
     "sde_k0.05": ("sde", {**SDE, "solver.kappa": 0.05}),
     "sde_k0": ("sde", {**SDE, "solver.kappa": 0.0}),
     # u = 0: one exact step of the whole t, and sde.csv's ds reads t
