@@ -1,12 +1,16 @@
 """Enhanced-diffusion simulator for passive scalars in anisotropic 2-D boxes.
 
-Subpackages:
+Modules:
     domain    -- anisotropy parameters, periodic box, velocity fields
     fields    -- grid scalars: norms, gradients, projection, interpolation
     solver    -- semi-Lagrangian / Crank-Nicolson and upwind time stepping
     particles -- backward SDE trajectories and the Feynman-Kac estimator
     analysis  -- decay-rate fits, kappa sweeps, scaling-law regression
-    cli       -- command dispatch, run manifests, CSV/SVG artifacts
+    config    -- the run configuration: defaults, overrides, validation
+    manifest  -- the CSV format, JSON reader, artifact writer, run manifests
+    svgplot   -- line plots and heatmaps as SVG
+    errors    -- the package's exception types
+    cli       -- command dispatch and artifact writing
 """
 
 __version__ = "0.1.0"

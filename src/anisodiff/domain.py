@@ -123,18 +123,15 @@ def _wrap_in_place(s: np.ndarray, half: float) -> np.ndarray:
 
 
 def _pow_half(base, half_exponent: float):
-    """(base)^(half_exponent) for base >= 0, with fast paths for the
-    exponents that dominate production runs (1/2, 1, 3/2, 2)."""
+    """(base)^(half_exponent) for base >= 0.  Exponent 1 returns base
+    uncopied and 3/2 is base * sqrt(base); every other exponent takes the **
+    operator, which is numpy's sqrt at 1/2 and its square at 2."""
     e = float(half_exponent)
-    if e == 0.5:
-        return np.sqrt(base)
     if e == 1.0:
         return np.asarray(base, dtype=float)
     if e == 1.5:
         return base * np.sqrt(base)
-    if e == 2.0:
-        return np.asarray(base, dtype=float) ** 2
-    return np.power(base, e)
+    return np.asarray(base, dtype=float) ** e
 
 
 def profile(s, exponent: float, epsilon: float = 0.0):

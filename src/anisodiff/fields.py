@@ -6,7 +6,7 @@ differences, second order in the grid spacing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -21,15 +21,10 @@ MEAN_ZERO_TOL = 1e-12
 
 @dataclass
 class ScalarField:
-    """Scalar samples at the cell centers of a periodic box.
-
-    mean_zero marks fields living in the zero-average subspace; it is
-    checked at construction against MEAN_ZERO_TOL * max|values|.
-    """
+    """Scalar samples at the cell centers of a periodic box."""
 
     box: DomainBox
     values: np.ndarray
-    mean_zero: bool = dc_field(default=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -38,13 +33,6 @@ class ScalarField:
                 f"field.values: shape {self.values.shape} does not match grid "
                 f"({self.box.nx}, {self.box.ny})"
             )
-        if self.mean_zero:
-            scale = np.max(np.abs(self.values))
-            if scale > 0 and abs(np.mean(self.values)) > MEAN_ZERO_TOL * scale:
-                raise ConfigError(
-                    f"field.mean_zero: flagged mean-zero but grid mean is "
-                    f"{np.mean(self.values):.3e} (max |value| {scale:.3e})"
-                )
 
 
 def fourier_mode(box: DomainBox, mx: int = 1, my: int = 1,
@@ -119,9 +107,10 @@ def l2_norm_sq(f: ScalarField) -> float:
 def mean_zero_project(f: ScalarField) -> ScalarField:
     """Subtract the grid mean; idempotent and shift-invariant."""
     vals = f.values - np.mean(f.values)
-    # one Newton polish so the flag check holds even for adversarial scales
+    # one Newton polish so the mean stays within MEAN_ZERO_TOL * max|values|
+    # even for adversarial scales
     vals -= np.mean(vals)
-    return ScalarField(f.box, vals, mean_zero=True)
+    return ScalarField(f.box, vals)
 
 
 def grad_norm_sq(f: ScalarField) -> float:

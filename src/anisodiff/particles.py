@@ -87,12 +87,12 @@ def time_grid(velocity: VelocityField, t: float, kappa: float, n: int,
     """
     if n < 2:
         raise ConfigError(f"particles.n: need at least 2 trajectories, got {n}")
-    if t <= 0:
-        raise ConfigError(f"particles.t: must be > 0, got {t}")
-    if ds <= 0 or ds > t:
+    if not 0 < t < np.inf:
+        raise ConfigError(f"particles.t: must be > 0 and finite, got {t}")
+    if not 0 < ds <= t:
         raise ConfigError(f"particles.ds: must lie in (0, t = {t}], got {ds}")
-    if kappa < 0:
-        raise ConfigError(f"particles.kappa: must be >= 0, got {kappa}")
+    if not 0 <= kappa < np.inf:
+        raise ConfigError(f"particles.kappa: must be >= 0 and finite, got {kappa}")
     m = 1 if velocity.is_zero else max(1, int(round(t / ds)))
     return m, t / m
 

@@ -145,7 +145,7 @@ def slope(s, m, eps):
 
 
 # exponents m whose half m/2 and m/2 - 1 reach every path of _pow_half:
-# 1/2, 1, 3/2, 2 and np.power, which takes half 0 (slope's profile(s, 0, eps)
+# 1, 3/2 and the ** operator, which takes half 0 (slope's profile(s, 0, eps)
 # at m = 2) and gives 1.0 for every base
 EXPONENTS = [1, 2, 3, 4, 5, 2.5]
 
@@ -182,6 +182,17 @@ class TestFusedVelocityBits:
             ux, uy = vel.velocity(x, y)
             assert_same_bits(ux, a * profile(y, q, eps))
             assert_same_bits(uy, np.zeros_like(np.asarray(y, dtype=float)))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    def test_sqrt_and_square_exponents(self, eps):
+        # the reference above goes through profile itself, so pin halves 1/2
+        # and 2 to numpy's own sqrt and square here
+        for point in self.points():
+            for s in point:
+                s = np.asarray(s, dtype=float)
+                b = s * s + eps * eps
+                assert_same_bits(profile(s, 1, eps), np.sqrt(b))
+                assert_same_bits(profile(s, 4, eps), b * b)
 
 
 class TestMakeVelocity:

@@ -80,7 +80,8 @@ class TestSdeStep:
     def test_input_validation(self, box64):
         zero = VelocityField.zero()
         for bad in (dict(ds=0.0), dict(n=1), dict(n=0), dict(ds=2.0), dict(t=0.0),
-                    dict(kappa=-0.1)):
+                    dict(kappa=-0.1), dict(t=np.inf), dict(t=np.nan), dict(ds=np.nan),
+                    dict(kappa=np.nan), dict(kappa=np.inf)):
             args = dict(dict(t=1.0, kappa=0.1, n=10, ds=0.1), **bad)
             with pytest.raises(ConfigError):
                 endpoints(box64, zero, 0.0, 0.0, seed=0, **args)

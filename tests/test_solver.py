@@ -89,9 +89,11 @@ class TestDiffusionStep:
 
     def test_requires_mean_zero(self, box64):
         cfg = SolverConfig(kappa=0.1, dt=1e-2, t_end=1.0)
-        raw = ScalarField(box64, np.ones((64, 64)))
-        with pytest.raises(ConfigError):
-            one_step(raw, VelocityField.zero(), cfg)
+        shifted = fourier_mode(box64)
+        shifted.values += 1.0   # the mean is checked on the values run gets
+        for raw in (ScalarField(box64, np.ones((64, 64))), shifted):
+            with pytest.raises(ConfigError):
+                one_step(raw, VelocityField.zero(), cfg)
 
 
 class TestSemiLagrangianAdvection:
@@ -205,6 +207,13 @@ class TestRun:
         cfg = SolverConfig(kappa=0.1, dt=1e-2, t_end=0.1)
         with pytest.raises(ConfigError):
             run(ScalarField(box64, np.ones((64, 64))), VelocityField.zero(), cfg)
+
+    def test_accepts_mean_zero_values_without_projection(self, box64):
+        # mean-zero by symmetry, built without mean_zero_project
+        rho = ScalarField(box64, fourier_mode(box64).values.copy())
+        cfg = SolverConfig(kappa=0.1, dt=1e-2, t_end=0.1)
+        series = run(rho, VelocityField.zero(), cfg)
+        assert series.norms_sq[0] == l2_norm_sq(rho)
 
 
 class TestEnergyIdentity:
