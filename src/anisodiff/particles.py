@@ -85,8 +85,8 @@ def time_grid(velocity: VelocityField, t: float, kappa: float, n: int,
     A zero field takes one exact step of the whole t; every other field
     takes max(1, round(t/ds)) equal steps.
     """
-    if n < 2:
-        raise ConfigError(f"particles.n: need at least 2 trajectories, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ConfigError(f"particles.n: must be an integer >= 2, got {n!r}")
     if not 0 < t < np.inf:
         raise ConfigError(f"particles.t: must be > 0 and finite, got {t}")
     if not 0 < ds <= t:
@@ -173,7 +173,8 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
                 stream: int = 0) -> tuple[ScalarField, VarianceMap]:
     """Monte Carlo estimate of the evolved field and its variance map.
 
-    From every cell center of launch_box (default: rho0's grid), n
+    From every cell center of launch_box (default: rho0's grid; a
+    ConfigError if its extent differs from rho0.box's), n
     trajectories integrate backward time t in equal Euler-Maruyama steps
     of size ~ds with drift -u; rho0 is then bilinearly sampled at the
     endpoints.  A zero field takes one exact step of size t, one
@@ -194,6 +195,10 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     """
     m, ds_eff = time_grid(velocity, t, kappa, n, ds)
     box = launch_box if launch_box is not None else rho0.box
+    if (box.half_width_x, box.half_width_y) != (rho0.box.half_width_x, rho0.box.half_width_y):
+        raise ConfigError(f"particles.launch_box: extent {box.half_width_x} x {box.half_width_y}"
+                          f" differs from the field's {rho0.box.half_width_x} x "
+                          f"{rho0.box.half_width_y}")
     sig = np.sqrt(2.0 * kappa * ds_eff)
 
     xc = box.x_centers()

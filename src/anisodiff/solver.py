@@ -2,14 +2,16 @@
 
 The flow is steady and dt fixed, so one step of either scheme is a fixed
 map, built once per run: v <- irfft2(factor * rfft2(P v)) on the flattened
-field, with P a sparse matrix and factor a per-mode multiplier.  The default
-scheme, sl_cn, is semi-Lagrangian advection (P samples bilinearly at the
-departure points, traced back with a second-order midpoint rule) composed
-with Crank-Nicolson diffusion, every Fourier mode updated exactly by the
+field, with P a sparse matrix and factor a per-mode multiplier whose zero
+mode, factor[0, 0] = 0, is the mean-zero projection: the map acts on the
+mean-zero subspace, where the decay is measured.  The default scheme,
+sl_cn, is semi-Lagrangian advection (P samples bilinearly at the departure
+points, traced back with a second-order midpoint rule) composed with
+Crank-Nicolson diffusion, every other Fourier mode updated exactly by the
 rational CN factor; it is unconditionally stable, so long runs at small
 diffusivity are cheap.  The explicit upwind scheme, P = I + dt (kappa L_h -
-A_h) and no factor, is kept as a cross-check, subject to the usual CFL
-restriction, validated before any compute.
+A_h) and a factor of 1 except at the zero mode, is kept as a cross-check,
+subject to the usual CFL restriction, validated before any compute.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 from .domain import DomainBox, VelocityField
 from .errors import ConfigError, InstabilityError
 from .fields import (MEAN_ZERO_TOL, ScalarField, bilinear_matrix, grad_norm_sq,
-                     l2_norm_sq, mean_zero_project, stencil_matrix)
+                     l2_norm_sq, stencil_matrix)
 from .manifest import csv_text
 
 SCHEME_SL_CN = "sl_cn"
@@ -52,7 +54,8 @@ class SolverConfig:
             raise ConfigError(f"solver.t_end: must be > 0, got {self.t_end}")
         if self.scheme not in (SCHEME_SL_CN, SCHEME_UPWIND):
             raise ConfigError(f"solver.scheme: unknown scheme {self.scheme!r}")
-        if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
+        if (not isinstance(self.record_every, (int, np.integer))
+                or isinstance(self.record_every, bool) or self.record_every < 1):
             raise ConfigError(
                 f"solver.record_every: must be a positive integer, got {self.record_every!r}"
             )
@@ -150,15 +153,18 @@ def _upwind_matrix(box: DomainBox, velocity: VelocityField, cfg: SolverConfig):
 
 def _step_map(box: DomainBox, velocity: VelocityField, cfg: SolverConfig):
     """(P, factor) of one step, as the module docstring sets out; None
-    stands for the identity P and for no factor."""
+    stands for the identity P, and factor[0, 0] = 0 for both schemes."""
     if cfg.scheme == SCHEME_UPWIND:
-        return _upwind_matrix(box, velocity, cfg), None
-    P = None if velocity.is_zero else bilinear_matrix(
-        box, *_departure_points(box, velocity, cfg.dt))
-    kx = 2.0 * np.pi * np.fft.fftfreq(box.nx, d=box.hx)
-    ky = 2.0 * np.pi * np.fft.rfftfreq(box.ny, d=box.hy)
-    a = 0.5 * cfg.kappa * cfg.dt * (kx[:, None] ** 2 + ky[None, :] ** 2)
-    return P, (1.0 - a) / (1.0 + a)
+        P, factor = _upwind_matrix(box, velocity, cfg), np.ones((box.nx, box.ny // 2 + 1))
+    else:
+        P = None if velocity.is_zero else bilinear_matrix(
+            box, *_departure_points(box, velocity, cfg.dt))
+        kx = 2.0 * np.pi * np.fft.fftfreq(box.nx, d=box.hx)
+        ky = 2.0 * np.pi * np.fft.rfftfreq(box.ny, d=box.hy)
+        a = 0.5 * cfg.kappa * cfg.dt * (kx[:, None] ** 2 + ky[None, :] ** 2)
+        factor = (1.0 - a) / (1.0 + a)
+    factor[0, 0] = 0.0
+    return P, factor
 
 
 def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> DecaySeries:
@@ -168,7 +174,9 @@ def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> DecayS
     step; the dissipation integral uses the trapezoid rule on exactly
     those samples, with ||grad rho||^2 from centered differences.
     rho0 must be mean-zero, |mean| <= MEAN_ZERO_TOL * max|rho0| on its values
-    (a ConfigError otherwise); mean_zero_project(f) makes any field so.
+    (a ConfigError otherwise); mean_zero_project(f) makes any field so.  The
+    step map drops the zero mode, so every recorded field, and the final
+    one, is mean-zero to rounding.
     """
     max0 = old_max = np.max(np.abs(rho0.values))
     if abs(np.mean(rho0.values)) > MEAN_ZERO_TOL * max0:
@@ -185,16 +193,14 @@ def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> DecayS
     for i in range(1, n_steps + 1):
         t = i * cfg.dt
         vals = f.values if P is None else (P @ f.values.ravel()).reshape(f.values.shape)
-        if factor is not None:
-            vals = np.fft.irfft2(factor * np.fft.rfft2(vals), s=vals.shape)
-        new_max = np.max(np.abs(vals))
+        f = ScalarField(f.box, np.fft.irfft2(factor * np.fft.rfft2(vals), s=vals.shape))
+        new_max = np.max(np.abs(f.values))
         if not np.isfinite(new_max) or (old_max > 0 and new_max > GROWTH_LIMIT * old_max):
             raise InstabilityError(
                 f"solver: max|rho| grew {new_max / old_max if old_max else np.inf:.3g}x "
                 f"in one step (limit {GROWTH_LIMIT}x) at t={t:.6g}", time=t)
-        f = mean_zero_project(ScalarField(f.box, vals))
-        old_max = np.max(np.abs(f.values))  # also the next step's old max
-        if max0 > 0 and old_max > GROWTH_LIMIT ** 2 * max0:
+        old_max = new_max
+        if max0 > 0 and new_max > GROWTH_LIMIT ** 2 * max0:
             # slow blow-up: no single step trips the breaker, the total does
             raise InstabilityError(
                 f"solver: max|rho| exceeded {GROWTH_LIMIT ** 2:g}x the initial "

@@ -96,7 +96,7 @@ class TestPde:
 
         # 1.01x per step: below the one-step breaker
         monkeypatch.setattr(solver_mod, "_step_map", lambda box, velocity, cfg: (
-            1.01 * sparse.identity(box.nx * box.ny), None))
+            1.01 * sparse.identity(box.nx * box.ny), np.ones((box.nx, box.ny // 2 + 1))))
         # 200 steps stay below the 100x total-growth breaker
         doc = dict(HEAT_CONFIG, solver=dict(HEAT_CONFIG["solver"], t_end=0.2))
         cfg = write_config(tmp_path, doc)

@@ -81,7 +81,7 @@ class TestSdeStep:
         zero = VelocityField.zero()
         for bad in (dict(ds=0.0), dict(n=1), dict(n=0), dict(ds=2.0), dict(t=0.0),
                     dict(kappa=-0.1), dict(t=np.inf), dict(t=np.nan), dict(ds=np.nan),
-                    dict(kappa=np.nan), dict(kappa=np.inf)):
+                    dict(kappa=np.nan), dict(kappa=np.inf), dict(n=100.0), dict(n=2.5)):
             args = dict(dict(t=1.0, kappa=0.1, n=10, ds=0.1), **bad)
             with pytest.raises(ConfigError):
                 endpoints(box64, zero, 0.0, 0.0, seed=0, **args)
@@ -169,6 +169,13 @@ class TestFeynmanKac:
             feynman_kac(rho, VelocityField.zero(), 0.0, 0.1, 100, 0.1, seed=0)
         with pytest.raises(ConfigError):
             feynman_kac(rho, VelocityField.zero(), 1.0, 0.1, 100, 2.0, seed=0)
+
+    def test_rejects_launch_box_of_other_extent(self, box64):
+        rho = fourier_mode(box64, 1, 1)
+        for launch in (DomainBox(0.5, 2.0, 8, 8), DomainBox(1.0, 2.0, 8, 8)):
+            with pytest.raises(ConfigError, match="particles.launch_box"):
+                feynman_kac(rho, VelocityField.zero(), 0.1, 0.1, 10, 0.1, seed=0,
+                            launch_box=launch)
 
     def test_short_time_limit(self, box64):
         # one tiny step: mean ~ rho0, variance ~ 2 kappa t |grad rho0|^2

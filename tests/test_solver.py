@@ -35,6 +35,8 @@ class TestConfigValidation:
     def test_record_every_bounds(self):
         with pytest.raises(ConfigError):
             SolverConfig(kappa=0.1, dt=1e-3, t_end=1.0, record_every=0)
+        with pytest.raises(ConfigError, match="solver.record_every"):
+            SolverConfig(kappa=0.1, dt=1e-3, t_end=1.0, record_every=True)
         with pytest.raises(ConfigError):
             SolverConfig(kappa=0.1, dt=0.5, t_end=1.0, record_every=3)
 
@@ -147,7 +149,8 @@ class TestSemiLagrangianStep:
         a = 0.5 * kappa * dt * (kx[:, None] ** 2 + ky[None, :] ** 2)
         vh = np.fft.rfft2(vals)
         vh *= (1.0 - a) / (1.0 + a)
-        return mean_zero_project(ScalarField(box, np.fft.irfft2(vh, s=vals.shape)))
+        vh[0, 0] = 0.0
+        return ScalarField(box, np.fft.irfft2(vh, s=vals.shape))
 
     @pytest.mark.parametrize("box", [DomainBox(1.0, 1.0, 64, 64),
                                      DomainBox(0.7, 0.7, 24, 24)],
@@ -192,9 +195,12 @@ class TestRun:
         series = run(rho, vel, cfg)
         assert np.all(np.diff(series.norms_sq) <= 1e-12 * series.norms_sq[0])
 
-    def test_mean_preserved_along_run(self, box64, params23):
+    @pytest.mark.parametrize("scheme,dt", [("sl_cn", 0.02), ("upwind", 0.005)],
+                             ids=["sl_cn", "upwind"])
+    def test_mean_preserved_along_run(self, box64, params23, scheme, dt):
+        # the upwind matrix does not conserve the mean; its step map projects
         vel = make_velocity(params23, 1.0, 1e-3)
-        cfg = SolverConfig(kappa=0.01, dt=0.02, t_end=1.0)
+        cfg = SolverConfig(kappa=0.01, dt=dt, t_end=1.0, scheme=scheme)
         f = random_fourier_sum(box64, 2, seed=5)
         for _ in range(20):
             f = one_step(f, vel, cfg)
@@ -316,7 +322,8 @@ class TestStepMap:
         vel = make_velocity(params23, 0.3, 1e-3)
         cfg = SolverConfig(kappa=0.05, dt=2e-3, t_end=1.0, scheme="upwind")
         P, factor = solver_mod._step_map(box, vel, cfg)
-        assert factor is None
+        assert factor[0, 0] == 0.0
+        assert np.all(np.delete(factor.ravel(), 0) == 1.0)
         assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
         rho = random_fourier_sum(box, 3, seed=4)
         ref = mean_zero_project(ScalarField(box, roll_upwind_step(
@@ -327,7 +334,8 @@ class TestStepMap:
 
 def scaled_identity(c):
     """A stand-in for solver._step_map whose step multiplies the field by c."""
-    return lambda box, velocity, cfg: (c * sparse.identity(box.nx * box.ny), None)
+    return lambda box, velocity, cfg: (c * sparse.identity(box.nx * box.ny),
+                                       np.ones((box.nx, box.ny // 2 + 1)))
 
 
 class TestInstability:
