@@ -15,9 +15,10 @@ For u = 0 the wrapped chain is exactly wrap(x0 + sqrt(2 kappa t) xi) in
 law, so both take one step of the whole time t there and ds is unused;
 every other field takes round(t/ds) steps (time_grid).
 
-Randomness is counter-based: each launch point owns a Philox substream
-keyed by (seed, stream, flat point index), so results are bit-identical
-no matter how the points are batched or parallelized.
+Each launch point draws from its own seeded SFC64 generator, keyed by
+(seed, stream, flat point index).  A point's normals therefore do not
+depend on which other points share its batch or thread, and that is why
+results are bit-identical however the points are batched or parallelized.
 """
 from __future__ import annotations
 
@@ -47,8 +48,14 @@ def _cpu_count() -> int:
 
 
 def _substream(seed: int, stream: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream), int(index)))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, index))
+    return np.random.Generator(np.random.SFC64(ss))
+
+
+def _check_key(name: str, value) -> None:
+    """A substream key part must be a non-negative integer, not a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{name}: must be an integer >= 0, got {value!r}")
 
 
 def _em_step(box: DomainBox, velocity: VelocityField, x, y, ds: float,
@@ -124,10 +131,12 @@ def endpoints(box: DomainBox, velocity: VelocityField, x0: float, y0: float,
     """Endpoints of n backward trajectories of time t from the wrapped (x0, y0).
 
     They draw from substream (seed, 0, 0), which is feynman_kac's launch
-    point 0 of stream 0; at kappa = 0 no generator is built.  Steps follow
+    point 0 of stream 0; at kappa = 0 no generator is built.  seed must be
+    an integer >= 0 at every kappa.  Steps follow
     time_grid.
     """
     m, ds_eff = time_grid(velocity, t, kappa, n, ds)
+    _check_key("particles.seed", seed)
     gens = [_substream(seed, 0, 0)] if kappa > 0.0 else []
     x, y = _trajectories(box, velocity, box.wrap_x(np.array([x0], dtype=float)),
                          box.wrap_y(np.array([y0], dtype=float)), n, gens, m, ds_eff,
@@ -189,11 +198,14 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
 
     Chunks of min(_POINT_CHUNK, _CHUNK_TRAJECTORIES // n) launch points (at
     least one) run on one thread per available CPU (at most one per chunk).
-    Every point draws from its own substream, so the result is bit-identical
+    Every point draws from its own substream (seed, stream, flat point
+    index; seed and stream integers >= 0), so the result is bit-identical
     for any chunk size and thread count; the chunk memory in flight grows
     with the thread count.
     """
     m, ds_eff = time_grid(velocity, t, kappa, n, ds)
+    _check_key("particles.seed", seed)
+    _check_key("stream", stream)
     box = launch_box if launch_box is not None else rho0.box
     if (box.half_width_x, box.half_width_y) != (rho0.box.half_width_x, rho0.box.half_width_y):
         raise ConfigError(f"particles.launch_box: extent {box.half_width_x} x {box.half_width_y}"

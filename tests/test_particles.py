@@ -81,10 +81,11 @@ class TestSdeStep:
         zero = VelocityField.zero()
         for bad in (dict(ds=0.0), dict(n=1), dict(n=0), dict(ds=2.0), dict(t=0.0),
                     dict(kappa=-0.1), dict(t=np.inf), dict(t=np.nan), dict(ds=np.nan),
-                    dict(kappa=np.nan), dict(kappa=np.inf), dict(n=100.0), dict(n=2.5)):
-            args = dict(dict(t=1.0, kappa=0.1, n=10, ds=0.1), **bad)
+                    dict(kappa=np.nan), dict(kappa=np.inf), dict(n=100.0), dict(n=2.5),
+                    dict(seed=1.5), dict(seed=True), dict(seed=-1)):
+            args = dict(dict(t=1.0, kappa=0.1, n=10, ds=0.1, seed=0), **bad)
             with pytest.raises(ConfigError):
-                endpoints(box64, zero, 0.0, 0.0, seed=0, **args)
+                endpoints(box64, zero, 0.0, 0.0, **args)
 
 
 class TestStrongOrder:
@@ -176,6 +177,26 @@ class TestFeynmanKac:
             with pytest.raises(ConfigError, match="particles.launch_box"):
                 feynman_kac(rho, VelocityField.zero(), 0.1, 0.1, 10, 0.1, seed=0,
                             launch_box=launch)
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.0])
+    def test_rejects_bad_seed_and_stream(self, kappa, monkeypatch):
+        """seed and stream are checked before any draw, at every kappa."""
+        generators = []
+        monkeypatch.setattr(particles, "_substream", lambda *a: generators.append(a))
+        rho = fourier_mode(DomainBox(1.0, 1.0, 8, 8), 1, 1)
+        for bad, name in ((dict(seed=1.5), "particles.seed"),
+                          (dict(seed=True), "particles.seed"),
+                          (dict(seed=-1), "particles.seed"),
+                          (dict(stream=-1), "stream"),
+                          (dict(stream=2.0), "stream"),
+                          (dict(stream=False), "stream")):
+            args = dict(dict(seed=0, stream=0), **bad)
+            with pytest.raises(ConfigError, match=f"^{name}:"):
+                feynman_kac(rho, VelocityField.zero(), 0.1, kappa, 10, 0.1, **args)
+        assert generators == []
+        monkeypatch.undo()
+        feynman_kac(rho, VelocityField.zero(), 0.1, kappa, 10, 0.1,
+                    seed=np.int64(3), stream=np.uint8(1))
 
     def test_short_time_limit(self, box64):
         # one tiny step: mean ~ rho0, variance ~ 2 kappa t |grad rho0|^2
@@ -269,6 +290,24 @@ class TestFeynmanKac:
             expect_mean.flat[k], expect_var.flat[k] = w.mean(), np.var(w, ddof=1)
         assert np.allclose(mean.values, expect_mean, rtol=1e-9, atol=1e-12)
         assert np.allclose(vmap.values, expect_var, rtol=1e-9, atol=1e-12)
+
+
+class TestSubstream:
+    """Each launch point's generator: SFC64, seeded by (seed, stream, index)."""
+
+    def test_generator_is_keyed_sfc64(self):
+        for seed, stream, index in ((0, 0, 0), (17, 3, 79), (2 ** 40, 1, 5)):
+            bg = _substream(seed, stream, index).bit_generator
+            assert isinstance(bg, np.random.SFC64)
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, index))
+            got, want = bg.state, np.random.SFC64(ss).state
+            assert np.array_equal(got.pop("state")["state"], want.pop("state")["state"])
+            assert got == want
+
+    def test_key_parts_separate_streams(self):
+        first = {key: _substream(*key).standard_normal()
+                 for key in ((5, 0, 0), (5, 1, 0), (5, 0, 1), (6, 0, 0))}
+        assert len(set(first.values())) == len(first)
 
 
 class TestExactDiffusion:
