@@ -34,14 +34,14 @@ DEFAULT_FIT_WINDOW = (0.1, 0.9)
 
 
 def _exponent(name: str, formula, p, q):
-    """formula(p, q) from an AnisotropyParams or two exponents > 0, in
-    Fractions when both are rational, else in floats."""
+    """formula(p, q) from an AnisotropyParams or two finite exponents > 0,
+    in Fractions when both are rational, else in floats."""
     if isinstance(p, AnisotropyParams):
         if q is not None:
             raise ConfigError(f"{name}: pass params or (p, q), not both")
         p, q = p.p, p.q
-    if p <= 0 or q <= 0:
-        raise ConfigError(f"exponent: p and q must be > 0, got ({p}, {q})")
+    if not (0 < p < np.inf and 0 < q < np.inf):
+        raise ConfigError(f"exponent: p and q must be > 0 and finite, got ({p}, {q})")
     if all(isinstance(v, Rational) and not isinstance(v, bool) for v in (p, q)):
         return formula(Fraction(p), Fraction(q))
     return formula(float(p), float(q))
@@ -205,6 +205,9 @@ def fit_power_law(kappas, rates) -> tuple[float, float, float, float]:
     rates = np.asarray(rates, dtype=float)
     if kappas.size != rates.size or kappas.size < 3:
         raise ConfigError("power fit: need >= 3 matched (kappa, rate) pairs")
+    for name, values in (("kappas", kappas), ("rates", rates)):
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"power fit: {name} must be finite")
     if np.any(kappas <= 0) or np.any(rates <= 0):
         raise ConfigError("power fit: kappas and rates must be positive")
     slope, intercept, r, stderr = _linregress(np.log(kappas), np.log(rates))
@@ -303,12 +306,14 @@ class FdrResult:
 
 
 def check_checkpoint(times, dt: float, record_every: int) -> list[float]:
-    """The FDR checkpoints, sorted: each a whole number of solver steps dt
-    and, but for the last, of record_every steps, so one run records all;
-    the last, the run's t_end, no shorter than record_every * dt."""
+    """The FDR checkpoints, sorted and distinct: each a whole number of
+    solver steps dt and, but for the last, of record_every steps, so one run
+    records all; the last, the run's t_end, no shorter than record_every * dt."""
     times = sorted(float(t) for t in times)
     if not times:
         raise ConfigError("particles.times: fdr needs at least one checkpoint")
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise ConfigError(f"particles.times: checkpoints must be distinct, got {times}")
     if record_every * dt > times[-1] * (1 + 1e-12):
         raise ConfigError(f"particles.times: the last checkpoint {times[-1]} is shorter "
                           f"than record_every * dt = {record_every} * {dt}")
@@ -321,29 +326,28 @@ def check_checkpoint(times, dt: float, record_every: int) -> list[float]:
     return times
 
 
-def fdr_check(rho0: ScalarField, velocity: VelocityField, kappa: float, times,
-              dt: float, n: int, ds: float, seed: int, record_every: int = 10,
-              launch_box=None) -> list[FdrResult]:
+def fdr_check(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig, times,
+              n: int, ds: float, seed: int, launch_box=None) -> list[FdrResult]:
     """Cumulative dissipation (PDE side) vs variance integral (particle side),
     one FdrResult per checkpoint, in increasing t.
 
     lhs = kappa * integral of ||grad rho||^2 up to t, read from one solver
-    run to the last checkpoint (centered-difference gradient, as in
-    solver.run); rhs = integral of the trajectory-endpoint variance map of
-    one feynman_kac call per checkpoint, on the substream of its index.
+    run of cfg, its t_end replaced by the last checkpoint (centered-difference
+    gradient, as in solver.run); rhs = integral of the trajectory-endpoint
+    variance map of one feynman_kac call per checkpoint at cfg.kappa, on the
+    substream of its index.
     The ratio is reported, not asserted: lhs/rhs is 0.5 when the
     dissipation identity carries its usual factor 2, and both conventions
     appear in practice.  The checkpoints must pass check_checkpoint.
     """
-    times = check_checkpoint(times, dt, record_every)
-    cfg = SolverConfig(kappa=kappa, dt=dt, t_end=times[-1], record_every=record_every)
-    series = run(rho0, velocity, cfg)
+    times = check_checkpoint(times, cfg.dt, cfg.record_every)
+    series = run(rho0, velocity, replace(cfg, t_end=times[-1]))
     results = []
     for index, t in enumerate(times):
-        steps = round(t / dt)  # off the record stride only as the run's final sample
-        lhs = float(series.dissipation[-1 if steps % record_every else
-                                       steps // record_every])
-        _, vmap = feynman_kac(rho0, velocity, t, kappa, n, ds, seed,
+        steps = round(t / cfg.dt)  # off the record stride only as the run's final sample
+        lhs = float(series.dissipation[-1 if steps % cfg.record_every else
+                                       steps // cfg.record_every])
+        _, vmap = feynman_kac(rho0, velocity, t, cfg.kappa, n, ds, seed,
                               launch_box=launch_box, stream=index)
         rhs = variance_integral(vmap)
         ratio = lhs / rhs if rhs != 0.0 else float("nan")

@@ -115,10 +115,8 @@ def cmd_sde(cfg: RunConfig) -> dict[str, str]:
 def cmd_fdr(cfg: RunConfig) -> dict[str, str]:
     """One solver run to the last checkpoint, one Feynman-Kac call per checkpoint."""
     par = cfg.doc["particles"]
-    results = fdr_check(cfg.initial_field(), cfg.velocity, cfg.solver.kappa,
-                        par["times"], dt=cfg.solver.dt, n=par["n"],
-                        ds=float(par["ds"]), seed=par["seed"],
-                        record_every=cfg.solver.record_every,
+    results = fdr_check(cfg.initial_field(), cfg.velocity, cfg.solver, par["times"],
+                        n=par["n"], ds=float(par["ds"]), seed=par["seed"],
                         launch_box=cfg.launch_box)
     for res in results:
         if not (np.isfinite(res.lhs) and np.isfinite(res.rhs)):

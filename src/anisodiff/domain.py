@@ -255,7 +255,7 @@ class VelocityField:
         return ux, dfx
 
     def max_speed(self, box: DomainBox) -> float:
-        """Largest per-component speed sampled on the box grid (CFL input)."""
+        """Largest per-component speed sampled on the box grid."""
         xg, yg = box.grid()
         ux, uy = self.velocity(xg, yg)
         return float(max(np.max(np.abs(ux)), np.max(np.abs(uy))))

@@ -185,10 +185,10 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     From every cell center of launch_box (default: rho0's grid; a
     ConfigError if its extent differs from rho0.box's), n
     trajectories integrate backward time t in equal Euler-Maruyama steps
-    of size ~ds with drift -u; rho0 is then bilinearly sampled at the
-    endpoints.  A zero field takes one exact step of size t, one
-    (2, n) draw per launch point, and leaves ds unused beyond the check
-    that it lies in (0, t].
+    of size ~ds with drift -u; rho0, finite or a ConfigError, is then
+    bilinearly sampled at the endpoints.  A zero field takes one exact
+    step of size t, one (2, n) draw per launch point, and leaves ds unused
+    beyond the check that it lies in (0, t].
     Returns the ensemble-mean field (the estimate of rho at time t) and
     the per-point variance map.
 
@@ -211,6 +211,8 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
         raise ConfigError(f"particles.launch_box: extent {box.half_width_x} x {box.half_width_y}"
                           f" differs from the field's {rho0.box.half_width_x} x "
                           f"{rho0.box.half_width_y}")
+    if not np.all(np.isfinite(rho0.values)):
+        raise ConfigError("feynman_kac: rho0 must be finite")
     sig = np.sqrt(2.0 * kappa * ds_eff)
 
     xc = box.x_centers()

@@ -10,8 +10,11 @@ points, traced back with a second-order midpoint rule) composed with
 Crank-Nicolson diffusion, every other Fourier mode updated exactly by the
 rational CN factor; it is unconditionally stable, so long runs at small
 diffusivity are cheap.  The explicit upwind scheme, P = I + dt (kappa L_h -
-A_h) and a factor of 1 except at the zero mode, is kept as a cross-check,
-subject to the usual CFL restriction, validated before any compute.
+A_h) and a factor of 1 except at the zero mode, is kept as a cross-check.
+It is accepted only when every weight of P is non-negative, that is
+dt <= 1 / max(2 kappa/hx^2 + 2 kappa/hy^2 + |u_x|/hx + |u_y|/hy) over the
+cells, so each step is a convex average; building P checks this, before
+any compute.
 """
 from __future__ import annotations
 
@@ -79,24 +82,6 @@ def whole_steps(t: float, dt: float, name: str) -> int:
     return steps
 
 
-def check_cfl(cfg: SolverConfig, velocity: VelocityField, box: DomainBox) -> None:
-    """Enforce dt <= 0.9 * min(h^2/(4 kappa), h / max|u|) for the explicit scheme."""
-    if cfg.scheme != SCHEME_UPWIND:
-        return
-    h = min(box.hx, box.hy)
-    bound = np.inf
-    if cfg.kappa > 0:
-        bound = h * h / (4.0 * cfg.kappa)
-    speed = velocity.max_speed(box)
-    if speed > 0:
-        bound = min(bound, h / speed)
-    if cfg.dt > 0.9 * bound:
-        raise ConfigError(
-            f"solver.dt: {cfg.dt} violates the CFL bound 0.9*min(h^2/4k, h/|u|) "
-            f"= {0.9 * bound:.3e} for the explicit upwind scheme"
-        )
-
-
 @dataclass
 class DecaySeries:
     """Recorded ||rho(t)||^2 and the running dissipation integral.
@@ -116,6 +101,9 @@ class DecaySeries:
         self.dissipation = np.asarray(self.dissipation, dtype=float)
         if not (len(self.times) == len(self.norms_sq) == len(self.dissipation)):
             raise ConfigError("series: times/norms_sq/dissipation length mismatch")
+        for name in ("times", "norms_sq", "dissipation"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"series.{name}: must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("series.times: must be strictly increasing")
         if np.any(self.norms_sq < 0):
@@ -137,12 +125,19 @@ def _departure_points(box: DomainBox, velocity: VelocityField, dt: float):
 
 def _upwind_matrix(box: DomainBox, velocity: VelocityField, cfg: SolverConfig):
     """I + dt (kappa L_h - A_h): the five-point Laplacian and first-order
-    upwind advection, one row per cell."""
+    upwind advection, one row per cell.  Rows sum to 1 and the off-centre
+    weights are non-negative, so a negative centre weight, a ConfigError,
+    is the one way P v can fail to be a convex average of v."""
     ux, uy = (u.ravel() for u in velocity.velocity(*box.grid()))
     dx, dy = cfg.kappa / box.hx ** 2, cfg.kappa / box.hy ** 2
     weights = np.empty((box.nx * box.ny, 5))
     weights[:, 0] = 1.0 - cfg.dt * (2.0 * dx + 2.0 * dy + np.abs(ux) / box.hx
                                     + np.abs(uy) / box.hy)
+    lowest = np.min(weights[:, 0])
+    if lowest < 0.0:
+        raise ConfigError(
+            f"solver.dt: {cfg.dt} makes an upwind centre weight negative "
+            f"({lowest:.3g}); the upwind scheme needs dt <= {cfg.dt / (1.0 - lowest):.3e}")
     weights[:, 1] = cfg.dt * (dx + np.maximum(ux, 0.0) / box.hx)
     weights[:, 2] = cfg.dt * (dx - np.minimum(ux, 0.0) / box.hx)
     weights[:, 3] = cfg.dt * (dy + np.maximum(uy, 0.0) / box.hy)
@@ -173,15 +168,16 @@ def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> DecayS
     Samples are taken at t = 0, every record_every-th step, and the final
     step; the dissipation integral uses the trapezoid rule on exactly
     those samples, with ||grad rho||^2 from centered differences.
-    rho0 must be mean-zero, |mean| <= MEAN_ZERO_TOL * max|rho0| on its values
-    (a ConfigError otherwise); mean_zero_project(f) makes any field so.  The
-    step map drops the zero mode, so every recorded field, and the final
-    one, is mean-zero to rounding.
+    rho0 must be finite and mean-zero, |mean| <= MEAN_ZERO_TOL * max|rho0| on
+    its values (a ConfigError otherwise); mean_zero_project(f) makes any
+    field mean-zero.  The step map drops the zero mode, so every recorded
+    field, and the final one, is mean-zero to rounding.
     """
     max0 = old_max = np.max(np.abs(rho0.values))
+    if not np.isfinite(max0):
+        raise ConfigError("solver.run: rho0 must be finite")
     if abs(np.mean(rho0.values)) > MEAN_ZERO_TOL * max0:
         raise ConfigError("solver.run: rho0 must be mean-zero")
-    check_cfl(cfg, velocity, rho0.box)
     P, factor = _step_map(rho0.box, velocity, cfg)
 
     n_steps = cfg.n_steps()

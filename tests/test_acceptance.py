@@ -173,9 +173,9 @@ def test_criterion_08_fdr_ratio_stability():
     box = DomainBox(1.0, 1.0, 128, 128)
     launch = DomainBox(1.0, 1.0, 32, 32)
     rho0 = fourier_mode(box, 1, 1)
-    results = [fdr_check(rho0, VelocityField.zero(), kappa=0.05, times=[1.0],
-                         dt=2e-3, n=10_000, ds=0.01, seed=seed,
-                         launch_box=launch)[0]
+    cfg = SolverConfig(kappa=0.05, dt=2e-3, t_end=1.0, record_every=10)
+    results = [fdr_check(rho0, VelocityField.zero(), cfg, times=[1.0], n=10_000,
+                         ds=0.01, seed=seed, launch_box=launch)[0]
                for seed in (11, 22, 33)]
     ok = True
     for a, b in itertools.combinations(results, 2):

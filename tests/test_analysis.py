@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtrit
 
-from anisodiff.analysis import (DecayFit, ExponentFit, _linregress, exponent_report,
-                                fdr_check, figure1_curve, figure1_exponent,
+from anisodiff.analysis import (DecayFit, ExponentFit, _linregress, check_checkpoint,
+                                exponent_report, fdr_check, figure1_curve, figure1_exponent,
                                 figure2_surface, fit_decay, fit_power_law,
                                 sweep_and_fit, theoretical_exponent)
 from anisodiff.domain import AnisotropyParams, DomainBox, VelocityField, make_velocity
@@ -47,6 +47,10 @@ class TestTheoreticalExponent:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             theoretical_exponent(0, 3)
+        for formula in (theoretical_exponent, figure1_exponent):
+            for p, q in ((np.nan, 2), (np.inf, 2), (2, np.nan), (2, np.inf)):
+                with pytest.raises(ConfigError, match="p and q"):
+                    formula(p, q)
 
 
 class TestFigure1:
@@ -151,6 +155,10 @@ class TestFitPowerLaw:
             fit_power_law([1e-2, 1e-1], [1.0, 2.0])
         with pytest.raises(ConfigError):
             fit_power_law([1e-2, 1e-1, 1.0], [1.0, -2.0, 3.0])
+        with pytest.raises(ConfigError, match="rates"):
+            fit_power_law([1, 2, 3, 4], [1, np.nan, 3, 4])
+        with pytest.raises(ConfigError, match="kappas"):
+            fit_power_law([1, 2, np.inf, 4], [1, 2, 3, 4])
 
 
 FIT_FLOATS = st.floats(-1e3, 1e3, allow_subnormal=False)
@@ -319,25 +327,32 @@ class TestFdrCheck:
     def test_zero_kappa_both_sides_zero(self, box64, params23):
         rho = fourier_mode(box64, 1, 1)
         vel = make_velocity(params23, 0.5, 1e-3)
-        res = fdr_check(rho, vel, kappa=0.0, times=[0.5], dt=0.01, n=100, ds=0.01,
-                        seed=3, record_every=1)[0]
+        cfg = SolverConfig(kappa=0.0, dt=0.01, t_end=0.5, record_every=1)
+        res = fdr_check(rho, vel, cfg, times=[0.5], n=100, ds=0.01, seed=3)[0]
         assert res.lhs == 0.0
         assert res.rhs == 0.0
         assert np.isnan(res.ratio)
 
     def test_checkpoint_off_solver_grid_rejected(self, box64):
         # t = 1.0 is 333.33 steps of 3e-3: the PDE side would stop at 0.999
+        # (cfg's own t_end, 0.999, is whole: the checkpoint is what fails)
         rho = fourier_mode(box64, 1, 1)
+        cfg = SolverConfig(kappa=0.05, dt=3e-3, t_end=0.999, record_every=10)
         with pytest.raises(ConfigError, match="whole number of solver steps"):
-            fdr_check(rho, VelocityField.zero(), kappa=0.05, times=[1.0], dt=3e-3,
-                      n=100, ds=0.01, seed=3)
+            fdr_check(rho, VelocityField.zero(), cfg, times=[1.0], n=100, ds=0.01, seed=3)
 
     def test_checkpoint_off_record_stride_rejected(self, box64):
         # 0.25 is 25 steps of 0.01: no sample of a record_every = 10 run
         rho = fourier_mode(box64, 1, 1)
+        cfg = SolverConfig(kappa=0.05, dt=0.01, t_end=0.5, record_every=10)
         with pytest.raises(ConfigError, match="particles.times: checkpoint 0.25"):
-            fdr_check(rho, VelocityField.zero(), kappa=0.05, times=[0.25, 0.5],
-                      dt=0.01, n=10, ds=0.01, seed=3, record_every=10)
+            fdr_check(rho, VelocityField.zero(), cfg, times=[0.25, 0.5], n=10, ds=0.01,
+                      seed=3)
+
+    def test_repeated_checkpoint_rejected(self):
+        # two rows at one t would come from two substreams: one lhs, two rhs
+        with pytest.raises(ConfigError, match="particles.times: checkpoints must be"):
+            check_checkpoint([0.5, 0.25, 0.5], dt=0.01, record_every=1)
 
     @pytest.mark.parametrize("times", [[1.0, 0.5], [0.5, 0.95]])
     def test_one_run_matches_a_run_per_checkpoint(self, params23, times):
@@ -346,8 +361,8 @@ class TestFdrCheck:
         box = DomainBox(1.0, 1.0, 32, 32)
         rho = fourier_mode(box, 1, 1)
         vel = make_velocity(params23, 0.5, 1e-3)
-        results = fdr_check(rho, vel, kappa=0.05, times=times, dt=0.01, n=4,
-                            ds=0.05, seed=3, record_every=10,
+        cfg = SolverConfig(kappa=0.05, dt=0.01, t_end=max(times), record_every=10)
+        results = fdr_check(rho, vel, cfg, times=times, n=4, ds=0.05, seed=3,
                             launch_box=DomainBox(1.0, 1.0, 8, 8))
         assert [r.t for r in results] == sorted(times)
         for res in results:
@@ -359,8 +374,9 @@ class TestFdrCheck:
         # analytic: rhs = ||rho0||^2 - ||rho(t)||^2 = 2 lhs for u = 0
         rho = fourier_mode(box64, 1, 1)
         launch = DomainBox(1.0, 1.0, 16, 16)
-        res = fdr_check(rho, VelocityField.zero(), kappa=0.05, times=[0.5], dt=2e-3,
-                        n=1500, ds=5e-3, seed=7, launch_box=launch)[0]
+        cfg = SolverConfig(kappa=0.05, dt=2e-3, t_end=0.5, record_every=10)
+        res = fdr_check(rho, VelocityField.zero(), cfg, times=[0.5], n=1500, ds=5e-3,
+                        seed=7, launch_box=launch)[0]
         print(f"\nfdr: lhs={res.lhs:.4f} rhs={res.rhs:.4f} ratio={res.ratio:.4f} "
               f"(rhs stderr {res.rhs_stderr:.4f})")
         assert res.ratio == pytest.approx(0.5, abs=0.05)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from anisodiff import analysis
 from anisodiff.analysis import figure1_curve, figure2_surface
 from anisodiff.cli import main
-from anisodiff.config import DEFAULTS
+from anisodiff.config import DEFAULTS, load_config
 from anisodiff.manifest import load_manifest, sha256_file
+from anisodiff.solver import run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -268,6 +270,24 @@ class TestFdr:
         assert main(["fdr", "--config", cfg, "--out", str(out)]) == 2
         assert "particles.times" in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    def test_upwind_scheme_runs_and_is_recorded(self, tmp_path):
+        # the lhs is the dissipation of a run of the configured scheme
+        lhs = {}
+        for scheme in ("sl_cn", "upwind"):
+            doc = self.make_doc(0.05)
+            doc["solver"]["scheme"] = scheme
+            doc["particles"].update(n=20, times=[0.25], grid_nx=8, grid_ny=8)
+            out = tmp_path / scheme
+            assert main(["fdr", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 0
+            lhs[scheme] = read_csv(out / "fdr.csv")[1][0, 1]
+            assert load_manifest(out / "manifest.json")["config"]["solver"]["scheme"] \
+                == scheme
+            cfg = load_config(base=doc)
+            series = run(cfg.initial_field(), cfg.velocity, replace(cfg.solver, t_end=0.25))
+            assert lhs[scheme] == float(series.dissipation[-1])
+        assert lhs["upwind"] != lhs["sl_cn"]
 
     def test_one_solver_run_for_all_checkpoints(self, tmp_path, monkeypatch):
         calls = count_solver_runs(monkeypatch)
@@ -530,6 +550,7 @@ BAD_CONFIGS = [
     ("sweep", ["sweep.window=[0.1,0.5,0.9]"], "sweep.window"),
     ("fdr", ["particles.times=[0.25,0.5]", "solver.record_every=10"],
      "particles.times"),
+    ("fdr", ["particles.times=[0.25,0.25]"], "particles.times"),
     ("pde", ["domain.nx=9"], "domain.nx"),
     ("pde", ["domain.Lx=-1"], "domain.Lx"),
     ("pde", ["domain.p=-1"], "domain.p"),

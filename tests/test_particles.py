@@ -5,7 +5,7 @@ import pytest
 
 from anisodiff.domain import AnisotropyParams, DomainBox, VelocityField, make_velocity
 from anisodiff.errors import ConfigError
-from anisodiff.fields import fourier_mode, random_fourier_sum, sample_many
+from anisodiff.fields import ScalarField, fourier_mode, random_fourier_sum, sample_many
 from anisodiff import particles
 from anisodiff.particles import (_substream, endpoints, feynman_kac,
                                  variance_integral, variance_integral_stderr,
@@ -170,6 +170,12 @@ class TestFeynmanKac:
             feynman_kac(rho, VelocityField.zero(), 0.0, 0.1, 100, 0.1, seed=0)
         with pytest.raises(ConfigError):
             feynman_kac(rho, VelocityField.zero(), 1.0, 0.1, 100, 2.0, seed=0)
+        for bad in (np.nan, np.inf):
+            values = rho.values.copy()
+            values[3, 5] = bad
+            with pytest.raises(ConfigError, match="rho0 must be finite"):
+                feynman_kac(ScalarField(box64, values), VelocityField.zero(), 0.1, 0.1,
+                            10, 0.1, seed=0)
 
     def test_rejects_launch_box_of_other_extent(self, box64):
         rho = fourier_mode(box64, 1, 1)

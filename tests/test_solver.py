@@ -9,7 +9,7 @@ from anisodiff.errors import ConfigError, InstabilityError
 from anisodiff.fields import (ScalarField, bilinear_matrix, fourier_mode, l2_norm_sq,
                               mean_zero_project, random_fourier_sum, sample_many)
 from anisodiff import solver as solver_mod
-from anisodiff.solver import DecaySeries, SolverConfig, check_cfl, run
+from anisodiff.solver import DecaySeries, SolverConfig, run
 
 MODE_EIGENVALUE = 2.0 * np.pi ** 2  # |k|^2 of sin(pi x) sin(pi y) on [-1,1)^2
 
@@ -42,18 +42,49 @@ class TestConfigValidation:
 
     def test_cfl_enforced_for_upwind(self, box64, params23):
         vel = make_velocity(params23, 1.0, 1e-3)
-        # dt far beyond 0.9 * min(h^2 / 4 kappa, h / max|u|)
+        # dt far beyond 1 / max(2k/hx^2 + 2k/hy^2 + |u_x|/hx + |u_y|/hy)
         cfg = SolverConfig(kappa=0.05, dt=0.05, t_end=1.0, scheme="upwind")
-        with pytest.raises(ConfigError):
-            check_cfl(cfg, vel, box64)
         rho = fourier_mode(box64)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="solver.dt"):
             run(rho, vel, cfg)
 
     def test_cfl_no_bound_for_semi_lagrangian(self, box64, params23):
         vel = make_velocity(params23, 1.0, 1e-3)
         cfg = SolverConfig(kappa=0.05, dt=0.5, t_end=1.0, record_every=1)
-        check_cfl(cfg, vel, box64)  # no error
+        solver_mod._step_map(box64, vel, cfg)  # no error
+
+    def test_compound_upwind_rejected_before_any_step(self):
+        # each of the old per-mechanism bounds, 0.9 * min(h^2/4k, h/|u|), is
+        # respected, but advection and diffusion add up: dt * max S = 2.7,
+        # a centre weight of -1.7, and the largest admissible dt is dt / 2.7
+        box = DomainBox(1.0, 1.0, 32, 32)
+        kappa = 0.05
+        h = box.hx
+        c = 4 * kappa / h  # makes the two old bounds equal
+        dt = 0.9 * h * h / (4 * kappa)
+        cfg = SolverConfig(kappa=kappa, dt=dt, t_end=200 * dt, scheme="upwind",
+                           record_every=1)
+        vel = VelocityField.of_constant(c, c)
+        with pytest.raises(ConfigError, match="solver.dt") as err:
+            run(fourier_mode(box, 4, 4), vel, cfg)
+        assert f"needs dt <= {dt / 2.7:.3e}" in str(err.value)
+
+    def test_upwind_bound_is_the_reported_dt(self, box64, params23):
+        # just below the dt the error reports, the step map builds; just above, not
+        vel = make_velocity(params23, 1.0, 1e-3)
+
+        def step_map(dt):
+            cfg = SolverConfig(kappa=0.05, dt=dt, t_end=dt, scheme="upwind",
+                               record_every=1)
+            return solver_mod._step_map(box64, vel, cfg)
+
+        with pytest.raises(ConfigError, match="solver.dt") as err:
+            step_map(0.05)
+        bound = float(str(err.value).rsplit("dt <= ", 1)[1])
+        P, _ = step_map(bound * (1 - 1e-3))
+        assert np.all(P.data >= 0.0)
+        with pytest.raises(ConfigError, match="solver.dt"):
+            step_map(bound * (1 + 1e-3))
 
 
 class TestDiffusionStep:
@@ -209,6 +240,16 @@ class TestRun:
         final = series.final_state
         assert abs(np.mean(final.values)) <= 1e-10 * np.max(np.abs(final.values))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        # a NaN passes the mean-zero check, abs(nan) > tol * nan being False
+        box = DomainBox(1.0, 1.0, 16, 16)
+        values = fourier_mode(box, 1, 1).values.copy()
+        values[3, 5] = bad
+        with pytest.raises(ConfigError, match="rho0 must be finite"):
+            run(ScalarField(box, values), VelocityField.zero(),
+                SolverConfig(kappa=0.1, dt=1e-2, t_end=0.1))
+
     def test_requires_mean_zero_input(self, box64):
         cfg = SolverConfig(kappa=0.1, dt=1e-2, t_end=0.1)
         with pytest.raises(ConfigError):
@@ -324,6 +365,7 @@ class TestStepMap:
         P, factor = solver_mod._step_map(box, vel, cfg)
         assert factor[0, 0] == 0.0
         assert np.all(np.delete(factor.ravel(), 0) == 1.0)
+        assert np.all(P.data >= 0.0)
         assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
         rho = random_fourier_sum(box, 3, seed=4)
         ref = mean_zero_project(ScalarField(box, roll_upwind_step(
@@ -348,23 +390,6 @@ class TestInstability:
         assert err.value.time == pytest.approx(cfg.dt)
         assert "in one step" in str(err.value)
 
-    def test_run_reports_time_of_failure(self):
-        # both CFL bounds individually respected, but their sum is unstable:
-        # the circuit breaker must catch the compound blow-up mid-run
-        box = DomainBox(1.0, 1.0, 32, 32)
-        kappa = 0.05
-        h = box.hx
-        c = 4 * kappa / h  # makes the two bounds equal
-        dt = 0.9 * h * h / (4 * kappa)
-        cfg = SolverConfig(kappa=kappa, dt=dt, t_end=200 * dt, scheme="upwind",
-                           record_every=1)
-        vel = VelocityField.of_constant(c, c)
-        check_cfl(cfg, vel, box)  # sanity: passes the stated precondition
-        rho = fourier_mode(box, 4, 4)
-        with pytest.raises(InstabilityError) as err:
-            run(rho, vel, cfg)
-        assert err.value.time is not None and err.value.time > 0
-
 
 class TestEnergyGrowth:
     """A rising energy series is a numerical failure, not a config error."""
@@ -383,6 +408,16 @@ class TestDecaySeries:
         with pytest.raises(ConfigError):
             DecaySeries(np.array([0.0, 1.0]), np.array([1.0, -0.1]),
                         np.array([0.0, 0.1]))
+
+    @pytest.mark.parametrize("name", ["times", "norms_sq", "dissipation"])
+    def test_non_finite_rejected(self, name):
+        # a NaN would otherwise drop out of fit_decay's window mask unseen
+        columns = dict(times=np.linspace(0.0, 1.0, 4),
+                       norms_sq=np.array([1.0, 0.5, 0.2, 0.1]),
+                       dissipation=np.array([0.0, 0.2, 0.3, 0.4]))
+        columns[name][2] = np.nan
+        with pytest.raises(ConfigError, match=f"series.{name}"):
+            DecaySeries(**columns)
 
     def test_times_strictly_increasing(self):
         with pytest.raises(ConfigError):

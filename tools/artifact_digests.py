@@ -75,6 +75,9 @@ CASES = {
     # 100 launch points: four chunks, the last of 4 points
     "fdr_stream_ragged_k0.05": ("fdr", {**FDR, "solver.kappa": 0.05,
                                         "particles.grid_nx": 10, "particles.grid_ny": 10}),
+    # the PDE side on the explicit scheme, its dt inside the upwind bound
+    "fdr_upwind": ("fdr", {**FDR, "solver.kappa": 0.05, "solver.scheme": "upwind",
+                           "solver.dt": 0.002}),
     "fdr_stream_k0": ("fdr", {**FDR, "solver.kappa": 0.0}),
     "fdr_shear_k0.05": ("fdr", {**FDR, "domain.family": "shear", "solver.kappa": 0.05}),
     "fdr_zero_k0.05": ("fdr", {**FDR, "domain.family": "zero", "solver.kappa": 0.05}),
