@@ -5,7 +5,7 @@ Modules:
     fields    -- grid scalars: norms, gradients, projection, interpolation
     solver    -- semi-Lagrangian / Crank-Nicolson and upwind time stepping
     particles -- backward SDE trajectories and the Feynman-Kac estimator
-    analysis  -- decay-rate fits, kappa sweeps, scaling-law regression
+    analysis  -- decay-rate fits, kappa sweeps (all runs or none), scaling-law regression
     config    -- the run configuration: defaults, overrides, validation
     manifest  -- the CSV format, JSON reader, artifact writer, run manifests
     svgplot   -- line plots and heatmaps as SVG
@@ -26,7 +26,7 @@ from .analysis import (DecayFit, ExponentFit, FdrResult, exponent_report,
                        figure1_exponent, figure2_surface, fit_decay,
                        fit_power_law, sweep_and_fit, theoretical_exponent)
 from .errors import (AnisodiffError, ConfigError, FitWindowError,
-                     InstabilityError, InsufficientDecayError, SweepError)
+                     InstabilityError, InsufficientDecayError)
 
 __all__ = [
     "AnisotropyParams", "DomainBox", "VelocityField", "divergence_residual",
@@ -40,6 +40,6 @@ __all__ = [
     "figure2_surface", "fit_decay", "fit_power_law", "sweep_and_fit",
     "theoretical_exponent",
     "AnisodiffError", "ConfigError", "FitWindowError", "InstabilityError",
-    "InsufficientDecayError", "SweepError",
+    "InsufficientDecayError",
     "__version__",
 ]

@@ -24,7 +24,7 @@ from scipy.special import stdtrit
 
 from . import particles
 from .domain import AnisotropyParams, VelocityField
-from .errors import ConfigError, FitWindowError, InsufficientDecayError, SweepError
+from .errors import ConfigError, FitWindowError, InsufficientDecayError
 from .fields import ScalarField
 from .manifest import csv_text
 from .particles import feynman_kac, variance_integral, variance_integral_stderr
@@ -259,8 +259,9 @@ def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
     feynman_kac uses for its threads.  Processes, not threads: a thread pool
     ran slower at 256x256 and adds about 10 MB of peak memory per concurrent
     run.  Results are merged by kappa index, so the pool size cannot change
-    a bit.  Individual fit failures are tolerated up to half the sweep, then
-    a SweepError carries the causes.
+    a bit.  The first run, in kappa order, that raised fails the sweep: the
+    runs not yet started are cancelled and its exception is re-raised, type
+    and attributes kept, message prefixed "sweep: kappa=<kappa>: ".
 
     dts / t_ends, when given, override base_cfg per kappa (check_sweep).
     Fast decays need finer sampling, slow ones run much cheaper and less
@@ -268,22 +269,15 @@ def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
     a multi-decade sweep.
     """
     runs = check_sweep(kappas, base_cfg, dts, t_ends)
-    kappas = [cfg.kappa for cfg in runs]
     with ProcessPoolExecutor(max_workers=min(particles._cpu_count(), len(runs))) as pool:
         futures = [pool.submit(_sweep_one, rho0, velocity, cfg, window) for cfg in runs]
-        # a failed run yields its exception: sweep failures are per kappa
-        results = [fut.exception() or fut.result() for fut in futures]
-
-    failures = {k: r for k, r in zip(kappas, results) if isinstance(r, Exception)}
-    if failures:
-        detail = "; ".join(f"kappa={k:g}: {e}" for k, e in failures.items())
-        if len(failures) > len(kappas) / 2 or len(kappas) - len(failures) < 4:
-            raise SweepError(f"sweep: {len(failures)}/{len(kappas)} runs failed "
-                             f"({detail})", failures=failures)
-
-    ok = [(k, r) for k, r in zip(kappas, results) if not isinstance(r, Exception)]
-    ks = np.array([k for k, _ in ok])
-    fits = [r for _, r in ok]
+        for cfg, fut in zip(runs, futures):
+            if (exc := fut.exception()) is not None:
+                pool.shutdown(cancel_futures=True)
+                exc.args = (f"sweep: kappa={cfg.kappa:g}: {exc}",)
+                raise exc
+    fits = [fut.result() for fut in futures]
+    ks = np.array([cfg.kappa for cfg in runs])
     rates = np.array([f.rate for f in fits])
     slope, intercept, ci95, r2 = fit_power_law(ks, rates)
     return ExponentFit(

@@ -15,7 +15,9 @@ the disk before the last artifact is computed and all writes stay inside
 the output directory.
 
 Exit codes: 0 success, 2 config error, 3 numerical/statistical failure,
-4 I/O error.  The configuration is validated fully before any compute.
+4 I/O error; a sweep exits with its first failed kappa run's code.  The
+config is validated fully before any compute, but for a sweep kappa's
+upwind bound, which that kappa's run checks as it starts.
 """
 from __future__ import annotations
 

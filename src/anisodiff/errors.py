@@ -27,10 +27,3 @@ class InsufficientDecayError(AnisodiffError):
 class FitWindowError(AnisodiffError):
     """Too few samples qualify for the decay-rate fit window."""
 
-
-class SweepError(AnisodiffError):
-    """More than half of the sweep runs failed; carries per-kappa causes."""
-
-    def __init__(self, message, failures=None):
-        super().__init__(message)
-        self.failures = failures or {}

@@ -1,10 +1,13 @@
+import pickle
+from concurrent.futures import Future
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import sparse, stats
 from scipy.special import stdtrit
 
 from anisodiff.analysis import (DecayFit, ExponentFit, _linregress, check_checkpoint,
@@ -12,8 +15,8 @@ from anisodiff.analysis import (DecayFit, ExponentFit, _linregress, check_checkp
                                 figure2_surface, fit_decay, fit_power_law,
                                 sweep_and_fit, theoretical_exponent)
 from anisodiff.domain import AnisotropyParams, DomainBox, VelocityField, make_velocity
-from anisodiff.errors import (ConfigError, FitWindowError,
-                              InsufficientDecayError, SweepError)
+from anisodiff.errors import (ConfigError, FitWindowError, InstabilityError,
+                              InsufficientDecayError)
 from anisodiff.fields import fourier_mode
 from anisodiff.solver import DecaySeries, SolverConfig, run
 
@@ -222,6 +225,38 @@ def scale_invariant_sweep(box, kappas):
     return sweep_and_fit(kappas, rho, VelocityField.zero(), cfg, dts=dts, t_ends=t_ends)
 
 
+class InlinePool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs
+    each job in-process as it is submitted."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def growing_step_map(box, velocity, cfg):
+    """A stand-in for solver._step_map whose step multiplies the field by 1.01."""
+    return 1.01 * sparse.identity(box.nx * box.ny), np.ones((box.nx, box.ny // 2 + 1))
+
+
 class TestSweepAndFit:
     def test_validation(self, box64):
         rho = fourier_mode(box64, 1, 1)
@@ -264,44 +299,26 @@ class TestSweepAndFit:
             assert fit.slope == fits[0].slope
 
     def test_pool_never_larger_than_sweep(self, monkeypatch):
-        from concurrent.futures import Future
-
         from anisodiff import analysis, particles
-
-        sizes = []
-
-        class InlinePool:  # records the pool size, runs each job in-process
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
 
         monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(particles, "_cpu_count", lambda: 64)
+        monkeypatch.setattr(InlinePool, "sizes", [])
         box = DomainBox(1.0, 1.0, 32, 32)
         fit = scale_invariant_sweep(box, [1e-3, 5e-3, 2e-2, 1e-1])
-        assert sizes == [4]
+        assert InlinePool.sizes == [4]
         assert abs(fit.slope - 1.0) <= max(fit.ci95, 1e-6)
 
     def test_all_failing_aborts_with_causes(self):
         box = DomainBox(1.0, 1.0, 32, 32)
         rho = fourier_mode(box, 1, 1)
-        # t_end far too short for any kappa to decay below 90%
+        # t_end far too short for any kappa to decay below 90%: the first
+        # kappa's failure is the sweep's
         cfg = SolverConfig(kappa=1e-3, dt=1e-3, t_end=0.01, record_every=1)
-        with pytest.raises(SweepError) as err:
+        with pytest.raises(InsufficientDecayError, match=r"^sweep: kappa=0\.001: fit: "):
             sweep_and_fit([1e-3, 2e-3, 5e-3, 1e-2], rho, VelocityField.zero(), cfg)
-        assert len(err.value.failures) == 4
 
-    def test_minority_failures_tolerated(self):
+    def test_one_failed_kappa_fails_the_sweep(self):
         box = DomainBox(1.0, 1.0, 32, 32)
         rho = fourier_mode(box, 1, 1)
         kappas = [1e-3, 5e-3, 2e-2, 5e-2, 1e-1]
@@ -309,11 +326,31 @@ class TestSweepAndFit:
         dts = [4e-4 / k for k in kappas]
         # first kappa gets a t_end too short to decay; the other four fit
         t_ends = [0.4] + [0.07 / k for k in kappas[1:]]
-        fit = sweep_and_fit(kappas, rho, VelocityField.zero(), cfg,
-                            dts=dts, t_ends=t_ends)
-        assert fit.kappas.size == 4
-        assert fit.kappas[0] == pytest.approx(5e-3)
-        assert abs(fit.slope - 1.0) < 1e-5
+        with pytest.raises(InsufficientDecayError, match=r"^sweep: kappa=0\.001: "):
+            sweep_and_fit(kappas, rho, VelocityField.zero(), cfg,
+                          dts=dts, t_ends=t_ends)
+
+    def test_instability_keeps_its_time(self, monkeypatch):
+        from anisodiff import analysis
+        from anisodiff import solver as solver_mod
+
+        # the kappa = 2e-2 run grows 1.01x a step; the others run as usual
+        step_map = solver_mod._step_map
+        monkeypatch.setattr(solver_mod, "_step_map", lambda box, velocity, cfg: (
+            growing_step_map if cfg.kappa == 2e-2 else step_map)(box, velocity, cfg))
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
+        box = DomainBox(1.0, 1.0, 32, 32)
+        rho = fourier_mode(box, 1, 1)
+        cfg = SolverConfig(kappa=1e-3, dt=1e-2, t_end=1.0, record_every=1)
+        with pytest.raises(InstabilityError) as direct:
+            run(rho, VelocityField.zero(), replace(cfg, kappa=2e-2, dt=0.02, t_end=3.5))
+        with pytest.raises(InstabilityError, match=r"^sweep: kappa=0\.02: ") as err:
+            sweep_and_fit([1e-3, 5e-3, 2e-2, 1e-1], rho, VelocityField.zero(), cfg,
+                          dts=[0.4, 0.08, 0.02, 0.004], t_ends=[70.0, 14.0, 3.5, 0.7])
+        assert err.value.time is not None
+        assert err.value.time == direct.value.time
+        # the sweep's workers hand the error back pickled
+        assert pickle.loads(pickle.dumps(err.value)).time == err.value.time
 
     def test_csv_columns(self):
         box = DomainBox(1.0, 1.0, 32, 32)

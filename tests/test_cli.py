@@ -333,6 +333,19 @@ class TestSweep:
         cfg = write_config(tmp_path, doc)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
 
+    def test_upwind_dt_too_large_at_one_kappa_exits_2(self, tmp_path, capsys):
+        # dt = 0.02 breaks the upwind bound (about 0.0098) at kappa = 0.1 only
+        out = tmp_path / "x"
+        assert main(["sweep", "--out", str(out), "--set", "domain.nx=32",
+                     "--set", "domain.ny=32", "--set", "domain.family=zero",
+                     "--set", "solver.scheme=upwind",
+                     "--set", "sweep.kappas=[1e-3,5e-3,1e-2,2e-2,1e-1]",
+                     "--set", "sweep.dts=[0.4,0.08,0.04,0.02,0.02]",
+                     "--set", "sweep.t_ends=[70,14,7,3.5,0.7]"]) == 2
+        err = capsys.readouterr().err
+        assert "sweep: kappa=0.1: solver.dt" in err
+        assert not out.exists()
+
     def test_bad_window_exits_2_before_compute(self, tmp_path, monkeypatch):
         calls = count_solver_runs(monkeypatch)
         cfg = write_config(tmp_path, SWEEP_DOC)

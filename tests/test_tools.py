@@ -31,6 +31,13 @@ def test_artifact_digests_figures_case(tmp_path):
     assert lines == expect
 
 
+def test_artifact_digests_failed_sweep_cases():
+    # one failed kappa fails the sweep with that run's exit code, and writes nothing
+    tool = load_tool()
+    assert tool.case_digests("sweep_upwind_dt_too_large") == ["sweep_upwind_dt_too_large 2 - -"]
+    assert tool.case_digests("sweep_one_short_t_end") == ["sweep_one_short_t_end 3 - -"]
+
+
 def test_public_names_resolve():
     missing = [name for name in anisodiff.__all__ if not hasattr(anisodiff, name)]
     assert missing == []

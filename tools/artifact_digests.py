@@ -94,6 +94,19 @@ CASES = {
     "sweep_stream": ("sweep", {**SWEEP, "domain.family": "stream"}),
     "sweep_upwind": ("sweep", {**SWEEP, "domain.family": "zero",
                                "solver.scheme": "upwind"}),
+    # dt 0.02 breaks the upwind bound (about 0.0098) at the last kappa only:
+    # the whole sweep exits 2
+    "sweep_upwind_dt_too_large": ("sweep", {
+        **SWEEP, "domain.family": "zero", "solver.scheme": "upwind",
+        "sweep.kappas": [1e-3, 5e-3, 1e-2, 2e-2, 1e-1],
+        "sweep.dts": [0.4, 0.08, 0.04, 0.02, 0.02],
+        "sweep.t_ends": [70.0, 14.0, 7.0, 3.5, 0.7]}),
+    # the first kappa's t_end is too short to decay: the whole sweep exits 3
+    "sweep_one_short_t_end": ("sweep", {
+        **SWEEP, "domain.family": "zero",
+        "sweep.kappas": [1e-3, 5e-3, 2e-2, 5e-2, 1e-1],
+        "sweep.dts": [0.4, 0.08, 0.02, 0.008, 0.004],
+        "sweep.t_ends": [0.4, 14.0, 3.5, 1.4, 0.7]}),
 }
 
 
