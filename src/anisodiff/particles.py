@@ -1,6 +1,6 @@
 """Backward stochastic trajectories and the Feynman-Kac field estimator.
 
-Trajectories follow the Euler-Maruyama update
+Trajectories follow the update
 
     X <- X - u_x(X, Y) ds + sqrt(2 kappa ds) xi_1
     Y <- Y - u_y(X, Y) ds + sqrt(2 kappa ds) xi_2
@@ -12,11 +12,24 @@ of the drift-diffusion equation.  One loop, _trajectories, runs this
 update for both endpoints (one launch point) and feynman_kac (a grid).
 
 For u = 0 the wrapped chain is exactly wrap(x0 + sqrt(2 kappa t) xi) in
-law, so both take one step of the whole time t there and ds is unused;
-every other field takes round(t/ds) steps (time_grid).
+law with xi standard normal, so both take one step of the whole time t
+there and ds is unused; every other field takes round(t/ds) steps
+(time_grid).  Those steps are the simplified weak Euler scheme: xi_1 and
+xi_2 are independent fair signs, -1 or +1 (Kloeden & Platen 1992,
+Numerical Solution of Stochastic Differential Equations, sec. 14.1;
+Milstein & Tretyakov 2004, Stochastic Numerics for Mathematical Physics).
+Like Euler-Maruyama it has weak order 1, so moments of rho0 at the
+endpoints, which are all feynman_kac returns, carry an O(ds) bias; no
+pathwise (strong) accuracy is claimed for the endpoints.  Two quirks
+follow from the law, and are reported rather than hidden:
+
+- with a constant field, every endpoint lies on a lattice of spacing
+  2 sqrt(2 kappa ds) per axis, shifted by the drift;
+- a drifted run with one step has only four endpoint positions per
+  launch point.
 
 Each launch point draws from its own seeded SFC64 generator, keyed by
-(seed, stream, flat point index).  A point's normals therefore do not
+(seed, stream, flat point index).  A point's draws therefore do not
 depend on which other points share its batch or thread, and that is why
 results are bit-identical however the points are batched or parallelized.
 """
@@ -34,7 +47,10 @@ from .fields import ScalarField, sample_many
 
 # A batch of launch points vectorized together holds at most _POINT_CHUNK
 # points and _CHUNK_TRAJECTORIES trajectories: at n = 10 000 that is 8 points,
-# whose (8, n) arrays of 640 KB leave a step's temporaries room in a 2 MB L2.
+# whose (8, n) arrays take 640 KB each.  A step's temporaries are the
+# velocity's two output arrays and the noise block.  With the drifted draw at
+# one bit per increment, caps of 40 000 and 80 000 ran alike on two cores, and
+# 20 000 ran slower.
 _POINT_CHUNK = 32
 _CHUNK_TRAJECTORIES = 80_000
 
@@ -107,20 +123,36 @@ def time_grid(velocity: VelocityField, t: float, kappa: float, n: int,
 def _trajectories(box: DomainBox, velocity: VelocityField, x0, y0, n: int,
                   gens: list, m: int, ds: float, sig: float):
     """Endpoints, shape (p, n), of n trajectories from each of the p launch
-    points (x0[k], y0[k]): m steps of size ds whose noise, sig times a
-    standard normal, point k draws from gens[k], one (2, n) block a step.
-    Without generators the trajectories are noise-free.
+    points (x0[k], y0[k]): m steps of size ds whose noise point k draws from
+    gens[k], one (2, n) block a step.  Without generators the trajectories
+    are noise-free.
+
+    The zero field's one exact step draws sig times standard normals.  A
+    drifted field's steps draw the weak scheme's two-point increments, -sig
+    or +sig with probability 1/2 each: every step, point k takes
+    ceil(2n/64) raw 64-bit words from gens[k] and unpacks them little-endian
+    into 2n bits, the first n for x and the next n for y; bit b gives
+    b * 2 sig - sig, which is exactly -sig or +sig.
     """
     p = len(x0)
     x = np.repeat(x0, n).reshape(p, n)
     y = np.repeat(y0, n).reshape(p, n)
     z = np.empty((p, 2, n))
     noise = (z[:, 0], z[:, 1]) if gens else ()   # views of z, refilled each step
+    flat = z.reshape(p, 2 * n)                   # a view: x's n, then y's n
+    words = np.empty((p, -(-2 * n // 64)), dtype="<u8")
     for _ in range(m):
-        if gens:
+        if gens and velocity.is_zero:
             for row, g in enumerate(gens):
                 g.standard_normal(out=z[row])
             z *= sig
+        elif gens:
+            for row, g in enumerate(gens):
+                words[row] = g.bit_generator.random_raw(words.shape[1])
+            bits = np.unpackbits(words.view(np.uint8), axis=1, count=2 * n,
+                                 bitorder="little")
+            np.multiply(bits, 2.0 * sig, out=flat)
+            flat -= sig
         x, y = _em_step(box, velocity, x, y, ds, *noise)
     return x, y
 
@@ -133,7 +165,10 @@ def endpoints(box: DomainBox, velocity: VelocityField, x0: float, y0: float,
     They draw from substream (seed, 0, 0), which is feynman_kac's launch
     point 0 of stream 0; at kappa = 0 no generator is built.  seed must be
     an integer >= 0 at every kappa.  Steps follow
-    time_grid.
+    time_grid.  A drifted field steps with two-point increments, the module
+    docstring's weak scheme: averages of smooth functions of the endpoints
+    are right to O(ds), but the endpoints are not Brownian paths (see the
+    two quirks there).
     """
     m, ds_eff = time_grid(velocity, t, kappa, n, ds)
     _check_key("particles.seed", seed)
@@ -184,11 +219,13 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
 
     From every cell center of launch_box (default: rho0's grid; a
     ConfigError if its extent differs from rho0.box's), n
-    trajectories integrate backward time t in equal Euler-Maruyama steps
-    of size ~ds with drift -u; rho0, finite or a ConfigError, is then
+    trajectories integrate backward time t in equal steps of size ~ds with
+    drift -u and two-point increments, the simplified weak Euler scheme of
+    the module docstring (weak order 1, like Euler-Maruyama, which is all
+    the two moments returned need); rho0, finite or a ConfigError, is then
     bilinearly sampled at the endpoints.  A zero field takes one exact
-    step of size t, one (2, n) draw per launch point, and leaves ds unused
-    beyond the check that it lies in (0, t].
+    step of size t, one (2, n) draw of normals per launch point, and leaves
+    ds unused beyond the check that it lies in (0, t].
     Returns the ensemble-mean field (the estimate of rho at time t) and
     the per-point variance map.
 

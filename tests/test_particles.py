@@ -298,6 +298,50 @@ class TestFeynmanKac:
         assert np.allclose(vmap.values, expect_var, rtol=1e-9, atol=1e-12)
 
 
+class TestTwoPointLaw:
+    """A drifted field's increments are fair signs times sig = sqrt(2 kappa ds),
+    independent per axis: the simplified weak Euler scheme."""
+
+    FIELD = VelocityField.of_constant(0.3, -0.2)
+    KAPPA, T = 0.45, 0.1
+
+    def test_one_step_displacements_are_fair_signs(self, box64):
+        n = 4000
+        sig = np.sqrt(2.0 * self.KAPPA * self.T)
+        x, y = endpoints(box64, self.FIELD, 0.0, 0.0, self.T, self.KAPPA, n, self.T,
+                         seed=3)
+        dx = box64.wrap_x(x + 0.3 * self.T)       # the drift -c ds added back
+        dy = box64.wrap_y(y - 0.2 * self.T)
+        for d in (dx, dy):
+            assert np.all(np.abs(np.abs(d) - sig) <= 1e-12)
+        se = 0.5 / np.sqrt(n)
+        for share in (np.mean(dx > 0), np.mean(dy > 0), np.mean((dx > 0) == (dy > 0))):
+            assert abs(share - 0.5) <= 3 * se
+
+    def test_mean_is_the_two_point_factor(self, box64):
+        """One step: E sin(pi (x0 - c t + xi sig)) = sin(pi (x0 - c t)) cos(pi sig)
+        per axis, not the Gaussian's exp(-pi^2 sig^2 / 2)."""
+        n = 10_000
+        sig = np.sqrt(2.0 * self.KAPPA * self.T)
+        launch = DomainBox(1.0, 1.0, 8, 8)
+        mean, vmap = feynman_kac(fourier_mode(box64, 1, 1), self.FIELD, self.T,
+                                 self.KAPPA, n, self.T, seed=8, launch_box=launch)
+        xg, yg = launch.grid()
+        shifted = np.sin(np.pi * (xg - 0.3 * self.T)) * np.sin(np.pi * (yg + 0.2 * self.T))
+        sigma = np.sqrt(variance_integral(vmap) / n)
+
+        def err(factor):
+            return np.sqrt(np.sum((mean.values - factor * shifted) ** 2)
+                           * launch.hx * launch.hy)
+
+        two_point = err(np.cos(np.pi * sig) ** 2)
+        gaussian = err(np.exp(-MODE_EIGENVALUE * self.KAPPA * self.T))
+        print(f"\ntwo-point law: err/sigma {two_point / sigma:.2f} against cos(pi sig)^2, "
+              f"{gaussian / sigma:.2f} against the Gaussian factor")
+        assert two_point <= 3.0 * sigma
+        assert gaussian > 5.0 * sigma
+
+
 class TestSubstream:
     """Each launch point's generator: SFC64, seeded by (seed, stream, index)."""
 
