@@ -255,8 +255,8 @@ def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
     """Run the solver (solver.run) once per kappa, fit each decay, regress the rates.
 
     Runs are independent and execute in a process pool of
-    min(CPUs this process may use, number of kappas) workers, the count
-    feynman_kac uses for its threads.  Processes, not threads: a thread pool
+    min(CPUs this process may use, number of kappas) workers, the rule
+    feynman_kac sizes its pools by.  Processes, not threads: a thread pool
     ran slower at 256x256 and adds about 10 MB of peak memory per concurrent
     run.  Results are merged by kappa index, so the pool size cannot change
     a bit.  The first run, in kappa order, that raised fails the sweep: the

@@ -30,13 +30,23 @@ follow from the law, and are reported rather than hidden:
 
 Each launch point draws from its own seeded SFC64 generator, keyed by
 (seed, stream, flat point index).  A point's draws therefore do not
-depend on which other points share its batch or thread, and that is why
+depend on which other points share its batch or worker, and that is why
 results are bit-identical however the points are batched or parallelized.
+
+feynman_kac computes its chunks of launch points in worker processes when
+a run takes more than one step, and in worker threads when it takes one.
+A step is some thirty short numpy calls, and threads running them contend
+for the GIL; one exact step is short enough that starting processes would
+cost more than it saves.  Both pools are cheap only under the fork start
+method, where a worker inherits the run instead of unpickling it.  Under
+spawn or forkserver (the Linux default from Python 3.14), each call's
+processes start a fresh interpreter and import the package.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -45,19 +55,17 @@ from .domain import DomainBox, VelocityField, _wrap_in_place
 from .errors import ConfigError
 from .fields import ScalarField, sample_many
 
-# A batch of launch points vectorized together holds at most _POINT_CHUNK
-# points and _CHUNK_TRAJECTORIES trajectories: at n = 10 000 that is 8 points,
-# whose (8, n) arrays take 640 KB each.  A step's temporaries are the
-# velocity's two output arrays and the noise block.  With the drifted draw at
-# one bit per increment, caps of 40 000 and 80 000 ran alike on two cores, and
-# 20 000 ran slower.
-_POINT_CHUNK = 32
-_CHUNK_TRAJECTORIES = 80_000
+# A batch of launch points vectorized together holds at most
+# _CHUNK_TRAJECTORIES trajectories: 32 points at n = 1000 and 3 points at
+# n = 10 000, whose (3, n) arrays take 240 KB each.  A step's temporaries are
+# the velocity's two output arrays and the noise block.  In worker processes
+# on two cores, a cap of 32 000 ran faster than 80 000 at n = 10 000.
+_CHUNK_TRAJECTORIES = 32_000
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on: the most workers feynman_kac and
-    analysis.sweep_and_fit start."""
+    """CPUs this process may run on: the most worker processes or threads
+    feynman_kac and analysis.sweep_and_fit start."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -179,6 +187,32 @@ def endpoints(box: DomainBox, velocity: VelocityField, x0: float, y0: float,
     return x[0], y[0]
 
 
+# The run whose chunks a feynman_kac worker computes.  The pool's initializer
+# stores it once per worker, per thread, so concurrent calls cannot mix runs.
+_RUN = threading.local()
+
+
+def _start_run(*run) -> None:
+    _RUN.run = run
+
+
+def _run_chunk(start: int):
+    """Moments of rho0 at the endpoints from the launch points of the chunk
+    at flat index start of the stored run: (idx, mean, var, var_of_var)."""
+    rho0, velocity, box, n, noisy, seed, stream, chunk, m, ds, sig = _RUN.run
+    idx = np.arange(start, min(start + chunk, box.nx * box.ny))
+    gens = [_substream(seed, stream, int(k)) for k in idx] if noisy else []
+    x, y = _trajectories(box, velocity, box.x_centers()[idx // box.ny],
+                         box.y_centers()[idx % box.ny], n if noisy else 1, gens, m,
+                         ds, sig)
+    w = sample_many(rho0, x, y)
+    mu = w.mean(axis=1)
+    m2c = w.var(axis=1)                      # biased central second moment
+    m4c = ((w - mu[:, None]) ** 4).mean(axis=1)
+    return (idx, mu, m2c * n / (n - 1),
+            np.maximum(m4c / n - m2c * m2c * (n - 3) / (n * (n - 1)), 0.0))
+
+
 @dataclass
 class VarianceMap:
     """Per-launch-point ensemble variance of rho0 along the trajectories.
@@ -233,12 +267,13 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     point coincide, so it follows one, noise-free, and its moments give
     exactly zero variance and var_of_var.
 
-    Chunks of min(_POINT_CHUNK, _CHUNK_TRAJECTORIES // n) launch points (at
-    least one) run on one thread per available CPU (at most one per chunk).
-    Every point draws from its own substream (seed, stream, flat point
-    index; seed and stream integers >= 0), so the result is bit-identical
-    for any chunk size and thread count; the chunk memory in flight grows
-    with the thread count.
+    Chunks of _CHUNK_TRAJECTORIES // n launch points (at least one) run on
+    one worker per available CPU (at most one per chunk): worker processes
+    when the run takes more than one step, worker threads when it takes one
+    (see the module docstring).  Every point draws from its own substream
+    (seed, stream, flat point index; seed and stream integers >= 0), so the
+    result is bit-identical for any chunk size, worker count and pool kind;
+    the chunk memory in flight grows with the worker count.
     """
     m, ds_eff = time_grid(velocity, t, kappa, n, ds)
     _check_key("particles.seed", seed)
@@ -252,8 +287,6 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
         raise ConfigError("feynman_kac: rho0 must be finite")
     sig = np.sqrt(2.0 * kappa * ds_eff)
 
-    xc = box.x_centers()
-    yc = box.y_centers()
     n_points = box.nx * box.ny
     mean_vals = np.empty(n_points)
     var_vals = np.empty(n_points)
@@ -261,27 +294,19 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
 
     # kappa = 0: one trajectory per point, and no generators to batch by chunk
     noisy = kappa > 0.0
-    chunk = max(1, min(_POINT_CHUNK, _CHUNK_TRAJECTORIES // n)) if noisy else n_points
-    n_traj = n if noisy else 1
-
-    def run_chunk(start: int) -> None:
-        idx = np.arange(start, min(start + chunk, n_points))
-        gens = [_substream(seed, stream, int(k)) for k in idx] if noisy else []
-        x, y = _trajectories(box, velocity, xc[idx // box.ny], yc[idx % box.ny],
-                             n_traj, gens, m, ds_eff, sig)
-        w = sample_many(rho0, x, y)
-        mu = w.mean(axis=1)
-        m2c = w.var(axis=1)                      # biased central second moment
-        m4c = ((w - mu[:, None]) ** 4).mean(axis=1)
-        mean_vals[idx] = mu
-        var_vals[idx] = m2c * n / (n - 1)
-        vvar[idx] = np.maximum(m4c / n - m2c * m2c * (n - 3) / (n * (n - 1)), 0.0)
-
-    # Each chunk writes only its own idx slice, so the chunks may run in any
-    # order on any thread; numpy releases the GIL in the draws and arithmetic.
+    chunk = max(1, _CHUNK_TRAJECTORIES // n) if noisy else n_points
     starts = range(0, n_points, chunk)
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(starts))) as pool:
-        list(pool.map(run_chunk, starts))
+    # Each chunk's moments land in its own idx slice, so the chunks may run in
+    # any order on any worker.  The run reaches each worker once, through the
+    # initializer; under fork it is inherited, not pickled.
+    executor = ProcessPoolExecutor if m > 1 else ThreadPoolExecutor
+    with executor(max_workers=min(_cpu_count(), len(starts)), initializer=_start_run,
+                  initargs=(rho0, velocity, box, n, noisy, seed, stream, chunk, m,
+                            ds_eff, sig)) as pool:
+        for idx, mu, var, var_of_var in pool.map(_run_chunk, starts):
+            mean_vals[idx] = mu
+            var_vals[idx] = var
+            vvar[idx] = var_of_var
 
     shape = (box.nx, box.ny)
     mean_field = ScalarField(box, mean_vals.reshape(shape))

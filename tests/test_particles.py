@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 
 import numpy as np
@@ -377,6 +378,28 @@ class TestExactDiffusion:
             assert np.array_equal(vmap.var_of_var, ref_var.var_of_var)
 
 
+class InlinePool:
+    """A stand-in for feynman_kac's worker pool that runs the initializer,
+    then each chunk, in the calling thread, recording each chunk's size."""
+
+    chunk_sizes: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, starts):
+        for start in starts:
+            result = fn(start)
+            self.chunk_sizes.append(len(result[0]))
+            yield result
+
+
 class TestSingleKernel:
     """endpoints and feynman_kac advance particles through one trajectory loop."""
 
@@ -387,27 +410,23 @@ class TestSingleKernel:
         launch = DomainBox(1.0, 1.0, 8, 10)
         return rho, vel, launch
 
-    @pytest.mark.parametrize("chunk", [1, 5, 32, 1000])
-    def test_feynman_kac_batching_invariant(self, stream_case, monkeypatch, chunk):
+    @pytest.mark.parametrize("cap", [60, 300, 1920, 60_000], ids=["1", "5", "32", "1000"])
+    def test_feynman_kac_batching_invariant(self, stream_case, monkeypatch, cap):
         """Neither the chunk size nor the worker count changes a bit.  At
-        chunk 32 the 80 launch points end in a short chunk of 16."""
+        n = 60 the caps give chunks of 1, 5, 32 and 1000 points (the ids); at
+        32 the 80 launch points end in a short chunk of 16."""
         rho, vel, launch = stream_case
         args = dict(t=0.2, kappa=0.05, n=60, ds=0.02, seed=17, launch_box=launch,
                     stream=3)
         monkeypatch.setattr(particles, "_cpu_count", lambda: 1)
         ref_mean, ref_var = feynman_kac(rho, vel, **args)
-        monkeypatch.setattr(particles, "_POINT_CHUNK", chunk)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)   # interleave the worker threads finely
-        try:
-            for workers in (1, 2, 5):
-                monkeypatch.setattr(particles, "_cpu_count", lambda w=workers: w)
-                mean, vmap = feynman_kac(rho, vel, **args)
-                assert np.array_equal(mean.values, ref_mean.values), workers
-                assert np.array_equal(vmap.values, ref_var.values), workers
-                assert np.array_equal(vmap.var_of_var, ref_var.var_of_var), workers
-        finally:
-            sys.setswitchinterval(interval)
+        monkeypatch.setattr(particles, "_CHUNK_TRAJECTORIES", cap)
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(particles, "_cpu_count", lambda w=workers: w)
+            mean, vmap = feynman_kac(rho, vel, **args)
+            assert np.array_equal(mean.values, ref_mean.values), workers
+            assert np.array_equal(vmap.values, ref_var.values), workers
+            assert np.array_equal(vmap.var_of_var, ref_var.var_of_var), workers
 
     def test_trajectory_cap_sets_the_chunk(self, stream_case, monkeypatch):
         """A chunk holds at most _CHUNK_TRAJECTORIES trajectories: 3 points of
@@ -415,16 +434,74 @@ class TestSingleKernel:
         rho, vel, launch = stream_case
         args = dict(t=0.2, kappa=0.05, n=60, ds=0.02, seed=17, launch_box=launch)
         ref_mean, ref_var = feynman_kac(rho, vel, **args)
-        sizes = []
-        run = particles._trajectories
-        monkeypatch.setattr(particles, "_trajectories",
-                            lambda box, v, x0, *a: sizes.append(len(x0)) or run(box, v, x0, *a))
+        monkeypatch.setattr(particles, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(InlinePool, "chunk_sizes", [])
         monkeypatch.setattr(particles, "_CHUNK_TRAJECTORIES", 200)
         mean, vmap = feynman_kac(rho, vel, **args)
-        assert sorted(sizes) == [2] + [3] * 26
+        assert sorted(InlinePool.chunk_sizes) == [2] + [3] * 26
         assert np.array_equal(mean.values, ref_mean.values)
         assert np.array_equal(vmap.values, ref_var.values)
         assert np.array_equal(vmap.var_of_var, ref_var.var_of_var)
+        # no cap on the points alone: a cap of 60 000 puts all 80 in one chunk
+        monkeypatch.setattr(InlinePool, "chunk_sizes", [])
+        monkeypatch.setattr(particles, "_CHUNK_TRAJECTORIES", 60_000)
+        feynman_kac(rho, vel, **args)
+        assert InlinePool.chunk_sizes == [80]
+
+    @pytest.mark.parametrize("field, ds, kind", [
+        ("stream", 0.02, "ProcessPoolExecutor"),
+        ("zero", 0.02, "ThreadPoolExecutor"),
+        ("stream", 0.2, "ThreadPoolExecutor"),
+    ], ids=["drifted", "zero_field", "one_step"])
+    def test_pool_follows_the_step_count(self, stream_case, monkeypatch, field, ds,
+                                         kind):
+        """A run of more than one step computes its chunks in worker processes,
+        a one-step run (zero field, or t <= ds) in worker threads; either pool
+        has min(CPUs, chunks) workers and gives a 1-worker run's bits."""
+        rho, vel, launch = stream_case
+        vel = vel if field == "stream" else VelocityField.zero()
+        args = dict(t=0.2, kappa=0.05, n=60, ds=ds, seed=17, launch_box=launch,
+                    stream=2)
+        built = []
+        for name in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+            class Recording(getattr(particles, name)):
+                def __init__(self, max_workers, name=name, **kwargs):
+                    built.append((name, max_workers))
+                    super().__init__(max_workers, **kwargs)
+            monkeypatch.setattr(particles, name, Recording)
+        monkeypatch.setattr(particles, "_CHUNK_TRAJECTORIES", 1920)   # 3 chunks
+        monkeypatch.setattr(particles, "_cpu_count", lambda: 1)
+        ref_mean, ref_var = feynman_kac(rho, vel, **args)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave worker threads finely
+        try:
+            for workers in (2, 5):
+                monkeypatch.setattr(particles, "_cpu_count", lambda w=workers: w)
+                mean, vmap = feynman_kac(rho, vel, **args)
+                assert np.array_equal(mean.values, ref_mean.values), workers
+                assert np.array_equal(vmap.values, ref_var.values), workers
+                assert np.array_equal(vmap.var_of_var, ref_var.var_of_var), workers
+        finally:
+            sys.setswitchinterval(interval)
+        assert built == [(kind, 1), (kind, 2), (kind, 3)]
+
+    def test_drifted_call_leaves_nothing_behind(self, stream_case, monkeypatch):
+        """A call in worker processes joins them, and rebinds no name of the
+        module and no attribute of the classes its run is built from: the run
+        is inherited by the workers, not pickled (pickling caches
+        __slotnames__ on a class)."""
+        rho, vel, launch = stream_case
+        classes = (DomainBox, VelocityField, ScalarField)
+        for cls in classes:
+            monkeypatch.delattr(cls, "__slotnames__", raising=False)
+        monkeypatch.setattr(particles, "_CHUNK_TRAJECTORIES", 1920)   # 3 chunks
+        before = [dict(vars(obj)) for obj in (particles, *classes)]
+        feynman_kac(rho, vel, 0.2, 0.05, n=60, ds=0.02, seed=17, launch_box=launch)
+        assert multiprocessing.active_children() == []
+        for old, obj in zip(before, (particles, *classes)):
+            new = vars(obj)
+            assert new.keys() == old.keys(), obj
+            assert [k for k in old if new[k] is not old[k]] == [], obj
 
     def test_endpoints_reproduce_feynman_kac_point(self, stream_case):
         """endpoints draws from feynman_kac's launch point 0 of stream 0."""
