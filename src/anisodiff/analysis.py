@@ -330,9 +330,12 @@ def fdr_check(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig, tim
     gradient, as in solver.run); rhs = integral of the trajectory-endpoint
     variance map of one feynman_kac call per checkpoint at cfg.kappa, on the
     substream of its index.
-    The ratio is reported, not asserted: lhs/rhs is 0.5 when the
-    dissipation identity carries its usual factor 2, and both conventions
-    appear in practice.  The checkpoints must pass check_checkpoint.
+    The ratio is reported, not asserted.  For any divergence-free u on the
+    torus, integral of Var[rho0(X_t)] dx = ||rho0||^2 - ||rho(t)||^2
+    = 2 kappa integral of ||grad rho||^2, so lhs/rhs is exactly 0.5 in the
+    continuum for every incompressible flow, not only pure diffusion; a
+    departure is PDE numerical dissipation or particle bias, plus Monte
+    Carlo noise.  The checkpoints must pass check_checkpoint.
     """
     times = check_checkpoint(times, cfg.dt, cfg.record_every)
     series = run(rho0, velocity, replace(cfg, t_end=times[-1]))
@@ -378,7 +381,7 @@ def exponent_report(params: AnisotropyParams, fit: ExponentFit | None = None) ->
     fig = figure1_exponent(p, q)
     lines = [
         "scaling exponent report",
-        f"p = {p}, q = {q} (alpha = {params.alpha}, beta = {params.beta})",
+        f"p = {p}, q = {q}",
         f"theoretical rate exponent p*q/(p+q+2): {_fmt_exponent(theo)}",
         f"figure-curve exponent     p/(p+q):     {_fmt_exponent(fig)}",
     ]

@@ -41,8 +41,7 @@ EXPERIMENTS = ("pde", "sde", "fdr", "sweep", "figures")
 DEFAULTS = {
     "experiment": "pde",
     "domain": {
-        "p": 2.0, "q": 3.0, "alpha": 1.0, "beta": 1.0,
-        "Lx": 1.0, "Ly": 1.0, "nx": 128, "ny": 128,
+        "p": 2.0, "q": 3.0, "Lx": 1.0, "Ly": 1.0, "nx": 128, "ny": 128,
         "epsilon": 1e-3, "amplitude": 1.0, "family": "stream",
     },
     "initial": {
@@ -210,8 +209,7 @@ def build_config(doc: dict) -> RunConfig:
         ini["terms"] = [[_integer(mx, "initial.terms"), _integer(my, "initial.terms"),
                          kind, _real(amp, "initial.terms")]
                         for mx, my, kind, amp in fourier_terms(ini["terms"])]
-        params = AnisotropyParams(p=dom["p"], q=dom["q"],
-                                  alpha=dom["alpha"], beta=dom["beta"])
+        params = AnisotropyParams(p=dom["p"], q=dom["q"])
         box = DomainBox(half_width_x=float(dom["Lx"]), half_width_y=float(dom["Ly"]),
                         nx=dom["nx"], ny=dom["ny"])
         nyquist = min(box.nx, box.ny) // 2   # higher modes only alias on the grid

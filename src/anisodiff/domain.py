@@ -24,19 +24,13 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class AnisotropyParams:
-    """Directional scaling exponents p, q and regularity tags alpha, beta.
-
-    alpha and beta are carried as metadata only; no operation enforces
-    Holder continuity numerically.
-    """
+    """Directional scaling exponents p and q."""
 
     p: float
     q: float
-    alpha: float = 1.0
-    beta: float = 1.0
 
     def __post_init__(self):
-        for name in ("p", "q", "alpha", "beta"):
+        for name in ("p", "q"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
                 raise ConfigError(f"domain.{name}: must be a positive finite real, got {v}")

@@ -34,10 +34,10 @@ depend on which other points share its batch or worker, and that is why
 results are bit-identical however the points are batched or parallelized.
 
 feynman_kac computes its chunks of launch points in worker processes when
-a run takes more than one step, and in worker threads when it takes one.
-A step is some thirty short numpy calls, and threads running them contend
-for the GIL; one exact step is short enough that starting processes would
-cost more than it saves.  Both pools are cheap only under the fork start
+a run takes more than one step and has more than one worker, and in worker
+threads otherwise.  A step is some thirty short numpy calls, and threads
+running them contend for the GIL; neither one exact step nor a lone worker
+repays starting processes.  Both pools are cheap only under the fork start
 method, where a worker inherits the run instead of unpickling it.  Under
 spawn or forkserver (the Linux default from Python 3.14), each call's
 processes start a fresh interpreter and import the package.
@@ -268,8 +268,8 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     exactly zero variance and var_of_var.
 
     Chunks of _CHUNK_TRAJECTORIES // n launch points (at least one) run on
-    one worker per available CPU (at most one per chunk): worker processes
-    when the run takes more than one step, worker threads when it takes one
+    one worker per available CPU (at most one per chunk): processes for a
+    run of more than one step and more than one worker, threads otherwise
     (see the module docstring).  Every point draws from its own substream
     (seed, stream, flat point index; seed and stream integers >= 0), so the
     result is bit-identical for any chunk size, worker count and pool kind;
@@ -299,8 +299,9 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     # Each chunk's moments land in its own idx slice, so the chunks may run in
     # any order on any worker.  The run reaches each worker once, through the
     # initializer; under fork it is inherited, not pickled.
-    executor = ProcessPoolExecutor if m > 1 else ThreadPoolExecutor
-    with executor(max_workers=min(_cpu_count(), len(starts)), initializer=_start_run,
+    workers = min(_cpu_count(), len(starts))
+    executor = ProcessPoolExecutor if m > 1 and workers > 1 else ThreadPoolExecutor
+    with executor(max_workers=workers, initializer=_start_run,
                   initargs=(rho0, velocity, box, n, noisy, seed, stream, chunk, m,
                             ds_eff, sig)) as pool:
         for idx, mu, var, var_of_var in pool.map(_run_chunk, starts):

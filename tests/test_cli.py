@@ -441,6 +441,13 @@ class TestRerunAndDeterminism:
         assert "config.sweep.jobs: unknown field" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_removed_regularity_tag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        _, manifest = self.edited_manifest(tmp_path, lambda c: c["domain"].update(alpha=1.0))
+        assert main(["rerun", str(manifest), "--out", str(out)]) == 2
+        assert "config.domain.alpha: unknown field" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_experiment_must_match_config(self, tmp_path):
         cfg = write_config(tmp_path, dict(HEAT_CONFIG, solver=dict(
             HEAT_CONFIG["solver"], t_end=0.01)))
@@ -567,7 +574,8 @@ BAD_CONFIGS = [
     ("pde", ["domain.nx=9"], "domain.nx"),
     ("pde", ["domain.Lx=-1"], "domain.Lx"),
     ("pde", ["domain.p=-1"], "domain.p"),
-    ("pde", ["domain.alpha=0"], "domain.alpha"),
+    ("pde", ["domain.alpha=0"], "config.domain.alpha: unknown field"),
+    ("pde", ["domain.beta=1"], "config.domain.beta: unknown field"),
     ("pde", ["domain.family=stream", "domain.p=0.5", "domain.epsilon=0"], "domain.epsilon"),
     ("pde", ["domain.family=stream", "domain.epsilon=-1"], "domain.epsilon"),
     ("pde", ["domain.family=zero", "domain.epsilon=-1"], "domain.epsilon"),

@@ -14,6 +14,7 @@ from anisodiff.particles import (_substream, endpoints, feynman_kac,
 from anisodiff.solver import SolverConfig, run
 
 MODE_EIGENVALUE = 2.0 * np.pi ** 2
+THREADS, PROCESSES = "ThreadPoolExecutor", "ProcessPoolExecutor"
 
 
 class TestSdeStep:
@@ -434,7 +435,8 @@ class TestSingleKernel:
         rho, vel, launch = stream_case
         args = dict(t=0.2, kappa=0.05, n=60, ds=0.02, seed=17, launch_box=launch)
         ref_mean, ref_var = feynman_kac(rho, vel, **args)
-        monkeypatch.setattr(particles, "ProcessPoolExecutor", InlinePool)
+        for pool in (PROCESSES, THREADS):   # one chunk, or one CPU, runs in threads
+            monkeypatch.setattr(particles, pool, InlinePool)
         monkeypatch.setattr(InlinePool, "chunk_sizes", [])
         monkeypatch.setattr(particles, "_CHUNK_TRAJECTORIES", 200)
         mean, vmap = feynman_kac(rho, vel, **args)
@@ -448,28 +450,31 @@ class TestSingleKernel:
         feynman_kac(rho, vel, **args)
         assert InlinePool.chunk_sizes == [80]
 
-    @pytest.mark.parametrize("field, ds, kind", [
-        ("stream", 0.02, "ProcessPoolExecutor"),
-        ("zero", 0.02, "ThreadPoolExecutor"),
-        ("stream", 0.2, "ThreadPoolExecutor"),
-    ], ids=["drifted", "zero_field", "one_step"])
+    @pytest.mark.parametrize("field, ds, cap, built_pools", [
+        ("stream", 0.02, 1920, [(THREADS, 1), (PROCESSES, 2), (PROCESSES, 3)]),
+        ("zero", 0.02, 1920, [(THREADS, 1), (THREADS, 2), (THREADS, 3)]),
+        ("stream", 0.2, 1920, [(THREADS, 1), (THREADS, 2), (THREADS, 3)]),
+        ("stream", 0.02, 60_000, [(THREADS, 1)] * 3),
+    ], ids=["drifted", "zero_field", "one_step", "one_chunk"])
     def test_pool_follows_the_step_count(self, stream_case, monkeypatch, field, ds,
-                                         kind):
-        """A run of more than one step computes its chunks in worker processes,
-        a one-step run (zero field, or t <= ds) in worker threads; either pool
-        has min(CPUs, chunks) workers and gives a 1-worker run's bits."""
+                                         cap, built_pools):
+        """A run of more than one step with more than one worker computes its
+        chunks in worker processes; a one-step run (zero field, or t <= ds)
+        and a one-worker run (one CPU, or one chunk) use worker threads.
+        Either pool has min(CPUs, chunks) workers and gives a 1-worker run's
+        bits.  A cap of 1920 cuts the 80 points into 3 chunks, 60 000 into 1."""
         rho, vel, launch = stream_case
         vel = vel if field == "stream" else VelocityField.zero()
         args = dict(t=0.2, kappa=0.05, n=60, ds=ds, seed=17, launch_box=launch,
                     stream=2)
         built = []
-        for name in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+        for name in (PROCESSES, THREADS):
             class Recording(getattr(particles, name)):
                 def __init__(self, max_workers, name=name, **kwargs):
                     built.append((name, max_workers))
                     super().__init__(max_workers, **kwargs)
             monkeypatch.setattr(particles, name, Recording)
-        monkeypatch.setattr(particles, "_CHUNK_TRAJECTORIES", 1920)   # 3 chunks
+        monkeypatch.setattr(particles, "_CHUNK_TRAJECTORIES", cap)
         monkeypatch.setattr(particles, "_cpu_count", lambda: 1)
         ref_mean, ref_var = feynman_kac(rho, vel, **args)
         interval = sys.getswitchinterval()
@@ -483,7 +488,7 @@ class TestSingleKernel:
                 assert np.array_equal(vmap.var_of_var, ref_var.var_of_var), workers
         finally:
             sys.setswitchinterval(interval)
-        assert built == [(kind, 1), (kind, 2), (kind, 3)]
+        assert built == built_pools
 
     def test_drifted_call_leaves_nothing_behind(self, stream_case, monkeypatch):
         """A call in worker processes joins them, and rebinds no name of the
@@ -495,6 +500,7 @@ class TestSingleKernel:
         for cls in classes:
             monkeypatch.delattr(cls, "__slotnames__", raising=False)
         monkeypatch.setattr(particles, "_CHUNK_TRAJECTORIES", 1920)   # 3 chunks
+        monkeypatch.setattr(particles, "_cpu_count", lambda: 2)   # a process pool
         before = [dict(vars(obj)) for obj in (particles, *classes)]
         feynman_kac(rho, vel, 0.2, 0.05, n=60, ds=0.02, seed=17, launch_box=launch)
         assert multiprocessing.active_children() == []

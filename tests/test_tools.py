@@ -12,6 +12,7 @@ from anisodiff.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "artifact_digests.py"
 SPANS = ROOT / "perfbench" / "spans.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def load_tool(path=TOOL):
@@ -65,3 +66,10 @@ def test_benchmark_span_targets_resolve():
         if not callable(vars(owner).get(attr)):
             missing.append(f"{layer}: {modname}.{path}")
     assert missing == []
+
+
+def test_benchmark_workloads_set_up():
+    # each workload's set-up validates its config and builds its fields, so a
+    # config field or program name the benchmark uses fails here if it goes
+    for name, workload in load_tool(WORKLOADS).WORKLOADS.items():
+        assert workload(0).work_per_unit > 0, name
