@@ -10,9 +10,9 @@ that is not null and of an amplitude in initial.terms, accepts an int or
 a finite float (no bool, string, NaN or infinity).  The rules on values
 are the owning modules', which name the config fields: the domain,
 velocity, solver and initial-field constructors, check_sweep (which
-builds every kappa's SolverConfig), the fit window, the fdr checkpoints
-and the particle time grid of sde and fdr.  initial.amplitude scales
-every kind of initial field, a sum's terms included.  A rerun merges its
+builds every kappa's SolverConfig), the fit window and the fdr
+checkpoints.  initial.amplitude scales every kind of initial field, a
+sum's terms included.  A rerun merges its
 manifest's config over the defaults exactly as a config file is merged,
 so a field this version does not know, such as one an earlier version
 had, is rejected as in a config file.  So is each `--set a.b=value`: it
@@ -33,7 +33,6 @@ from .errors import ConfigError
 from .fields import (ScalarField, fourier_mode, fourier_sum, fourier_terms,
                      random_fourier_sum)
 from .manifest import read_json_object
-from .particles import time_grid
 from .solver import SolverConfig
 
 EXPERIMENTS = ("pde", "sde", "fdr", "sweep", "figures")
@@ -224,10 +223,8 @@ def build_config(doc: dict) -> RunConfig:
             if not float(par[field]) > 0.0:
                 raise ConfigError(f"particles.{field}: must be > 0, got {par[field]}")
         launch_box = _build_launch_box(box, par)
-        if experiment in ("sde", "fdr"):   # the particle run's own checks
-            t = (check_checkpoint(par["times"], solver.dt, solver.record_every)[0]
-                 if experiment == "fdr" else float(par["t"]))
-            time_grid(velocity, t, solver.kappa, par["n"], float(par["ds"]))
+        if experiment == "fdr":
+            check_checkpoint(par["times"], solver.dt, solver.record_every)
         check_sweep(sweep["kappas"], solver, sweep["dts"], sweep["t_ends"])
         check_window(sweep["window"], "sweep.window")
         outdir = doc["output"]["dir"]

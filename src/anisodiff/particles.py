@@ -13,9 +13,9 @@ update for both endpoints (one launch point) and feynman_kac (a grid).
 
 For u = 0 the wrapped chain is exactly wrap(x0 + sqrt(2 kappa t) xi) in
 law with xi standard normal, so both take one step of the whole time t
-there and ds is unused; every other field takes round(t/ds) steps
-(time_grid).  Those steps are the simplified weak Euler scheme: xi_1 and
-xi_2 are independent fair signs, -1 or +1 (Kloeden & Platen 1992,
+there and ds is unused; every other field takes max(1, round(t/ds))
+steps (time_grid).  Those steps are the simplified weak Euler scheme:
+xi_1 and xi_2 are independent fair signs, -1 or +1 (Kloeden & Platen 1992,
 Numerical Solution of Stochastic Differential Equations, sec. 14.1;
 Milstein & Tretyakov 2004, Stochastic Numerics for Mathematical Physics).
 Like Euler-Maruyama it has weak order 1, so moments of rho0 at the
@@ -114,14 +114,15 @@ def time_grid(velocity: VelocityField, t: float, kappa: float, n: int,
     """Check a particle run's arguments; return its step count and step size.
 
     A zero field takes one exact step of the whole t; every other field
-    takes max(1, round(t/ds)) equal steps.
+    takes max(1, round(t/ds)) equal steps, so one step of t for any ds
+    above about 2t/3.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ConfigError(f"particles.n: must be an integer >= 2, got {n!r}")
     if not 0 < t < np.inf:
         raise ConfigError(f"particles.t: must be > 0 and finite, got {t}")
-    if not 0 < ds <= t:
-        raise ConfigError(f"particles.ds: must lie in (0, t = {t}], got {ds}")
+    if not ds > 0:
+        raise ConfigError(f"particles.ds: must be > 0, got {ds}")
     if not 0 <= kappa < np.inf:
         raise ConfigError(f"particles.kappa: must be >= 0 and finite, got {kappa}")
     m = 1 if velocity.is_zero else max(1, int(round(t / ds)))
@@ -259,7 +260,7 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     the two moments returned need); rho0, finite or a ConfigError, is then
     bilinearly sampled at the endpoints.  A zero field takes one exact
     step of size t, one (2, n) draw of normals per launch point, and leaves
-    ds unused beyond the check that it lies in (0, t].
+    ds unused beyond the check that it is > 0.
     Returns the ensemble-mean field (the estimate of rho at time t) and
     the per-point variance map.
 

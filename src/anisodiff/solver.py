@@ -62,11 +62,6 @@ class SolverConfig:
             raise ConfigError(
                 f"solver.record_every: must be a positive integer, got {self.record_every!r}"
             )
-        if self.record_every * self.dt > self.t_end * (1 + 1e-12):
-            raise ConfigError(
-                "solver.record_every: record_every * dt exceeds t_end "
-                f"({self.record_every} * {self.dt} > {self.t_end})"
-            )
         whole_steps(self.t_end, self.dt, "solver.t_end")
 
     def n_steps(self) -> int:

@@ -10,6 +10,7 @@ from anisodiff.analysis import figure1_curve, figure2_surface
 from anisodiff.cli import main
 from anisodiff.config import DEFAULTS, load_config
 from anisodiff.manifest import load_manifest, sha256_file
+from anisodiff.particles import feynman_kac, variance_integral
 from anisodiff.solver import run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -247,29 +248,33 @@ class TestFdr:
         assert main(["fdr", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
         assert not (tmp_path / "x").exists()
 
-    def test_ds_beyond_first_checkpoint_exits_2_before_compute(
-            self, tmp_path, monkeypatch, capsys):
-        calls = count_solver_runs(monkeypatch)
+    def test_ds_beyond_first_checkpoint_runs(self, tmp_path):
+        # the first checkpoint is shorter than ds: its particles take one step of t
         doc = self.make_doc(0.05)
         doc["solver"]["dt"] = 0.002
-        doc["particles"].update(times=[0.004, 0.5], ds=0.005)
-        cfg = write_config(tmp_path, doc)
+        doc["particles"].update(times=[0.004, 0.5], ds=0.005, n=50, grid_nx=8, grid_ny=8)
         out = tmp_path / "early"
-        assert main(["fdr", "--config", cfg, "--out", str(out)]) == 2
-        assert "particles.ds" in capsys.readouterr().err
-        assert calls == [] and not out.exists()
+        assert main(["fdr", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        rows = read_csv(out / "fdr.csv")[1]
+        assert list(rows[:, 0]) == [0.004, 0.5]
+        cfg = load_config(base=doc)
+        _, vmap = feynman_kac(cfg.initial_field(), cfg.velocity, 0.004, 0.05, 50, 0.004,
+                              5, launch_box=cfg.launch_box, stream=0)
+        assert rows[0, 2] == variance_integral(vmap)
 
-    def test_last_checkpoint_shorter_than_record_stride_exits_2_before_compute(
-            self, tmp_path, monkeypatch, capsys):
-        calls = count_solver_runs(monkeypatch)
+    def test_last_checkpoint_shorter_than_record_stride_runs(self, tmp_path):
+        # 5 steps at a record stride of 10: the lhs is the run's final sample
         doc = self.make_doc(0.05)
         doc["solver"].update(dt=0.001, record_every=10)
-        doc["particles"].update(times=[0.005], ds=0.001)
-        cfg = write_config(tmp_path, doc)
+        doc["particles"].update(times=[0.005], ds=0.001, n=50, grid_nx=8, grid_ny=8)
         out = tmp_path / "short"
-        assert main(["fdr", "--config", cfg, "--out", str(out)]) == 2
-        assert "particles.times" in capsys.readouterr().err
-        assert calls == [] and not out.exists()
+        assert main(["fdr", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        cfg = load_config(base=doc)
+        series = run(cfg.initial_field(), cfg.velocity, replace(cfg.solver, t_end=0.005))
+        assert list(series.times) == [0.0, 0.005]
+        assert read_csv(out / "fdr.csv")[1][0, 1] == float(series.dissipation[-1])
 
     def test_upwind_scheme_runs_and_is_recorded(self, tmp_path):
         # the lhs is the dissipation of a run of the configured scheme
@@ -448,6 +453,19 @@ class TestRerunAndDeterminism:
         assert "config.domain.alpha: unknown field" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,named", [
+        ('{"experiment": "pde", "config": {}}', "'artifacts'"),
+        ('{"experiment": "pde", "artifacts": {}, "config": []}',
+         "config must be a JSON object"),
+    ], ids=["no-artifacts", "config-list"])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, text, named):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        out = tmp_path / "x"
+        assert main(["rerun", str(manifest), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_experiment_must_match_config(self, tmp_path):
         cfg = write_config(tmp_path, dict(HEAT_CONFIG, solver=dict(
             HEAT_CONFIG["solver"], t_end=0.01)))
@@ -543,7 +561,8 @@ BAD_CONFIGS = [
     ("pde", ["initial.amplitude=NaN"], "initial.amplitude"),
     ("sde", ["particles.ds=NaN"], "particles.ds"),
     ("sde", ["particles.t=Infinity"], "particles.t"),
-    ("sde", ["particles.ds=2"], "particles.ds"),
+    ("sde", ["particles.ds=0"], "particles.ds"),
+    ("pde", ["particles.ds=0"], "particles.ds"),
     ("pde", ["particles.grid_nx=9"], "particles.grid_nx"),
     ("fdr", ["particles.grid_nx=9"], "particles.grid_nx"),
     ("fdr", ["particles.grid_ny=9"], "particles.grid_ny"),
@@ -571,6 +590,11 @@ BAD_CONFIGS = [
     ("fdr", ["particles.times=[0.25,0.5]", "solver.record_every=10"],
      "particles.times"),
     ("fdr", ["particles.times=[0.25,0.25]"], "particles.times"),
+    ("fdr", ["particles.times=[]"], "particles.times"),
+    ("fdr", ["particles.times=[0,0.5]"], "particles.times"),
+    ("fdr", ["particles.times=[-0.5]"], "particles.times"),
+    ("pde", ["solver.kappa"], "solver.kappa"),
+    ("sweep", ["sweep.kappas=[0,0.01,0.1,1]"], "sweep.kappas"),
     ("pde", ["domain.nx=9"], "domain.nx"),
     ("pde", ["domain.Lx=-1"], "domain.Lx"),
     ("pde", ["domain.p=-1"], "domain.p"),
@@ -579,6 +603,8 @@ BAD_CONFIGS = [
     ("pde", ["domain.family=stream", "domain.p=0.5", "domain.epsilon=0"], "domain.epsilon"),
     ("pde", ["domain.family=stream", "domain.epsilon=-1"], "domain.epsilon"),
     ("pde", ["domain.family=zero", "domain.epsilon=-1"], "domain.epsilon"),
+    ("pde", ["domain.family=shear", "domain.epsilon=-1"], "domain.epsilon"),
+    ("pde", ["domain.family=constant"], "domain.family"),
     ("pde", ["initial.kind=random", "initial.max_mode=0"], "initial.max_mode"),
     ("pde", ["initial.kind=random", "initial.max_mode=-2"], "initial.max_mode"),
     ("pde", ["initial.kind=random", "domain.nx=16", "domain.ny=8", "initial.max_mode=5"],
@@ -671,13 +697,14 @@ BAD_JSON_CASES = [
     (["rerun", "input.json"], '{"experiment": "pde", "artifacts": {}, '
      '"config": {"solver": {"kappa": %s}}}' % BIG_INT, "input.json"),
     (["rerun", "input.json"], "5", "input.json"),
+    (["pde", "--config", "missing.json"], None, "missing.json"),
 ]
 
 
 @pytest.mark.parametrize("argv,text,named", BAD_JSON_CASES,
                          ids=["set-long-int", "set-deep", "config-long-int",
                               "config-deep", "manifest-long-int",
-                              "manifest-not-object"])
+                              "manifest-not-object", "config-missing"])
 def test_unreadable_json_exits_2(tmp_path, monkeypatch, capsys, argv, text, named):
     monkeypatch.chdir(tmp_path)
     if text is not None:

@@ -79,9 +79,18 @@ class TestSdeStep:
             assert np.array_equal(x, expect_x), ds
             assert np.array_equal(y, expect_y), ds
 
+    def test_ds_beyond_two_thirds_of_t_is_one_step(self, box64):
+        # max(1, round(t / ds)) = 1: every such ds steps once by the whole t
+        vel = make_velocity(AnisotropyParams(p=2, q=3), 0.5, 1e-3)
+        ref = endpoints(box64, vel, 0.1, 0.2, 0.2, 0.05, 200, 0.2, seed=3)
+        for ds in (0.15, 0.3, 2.0):
+            x, y = endpoints(box64, vel, 0.1, 0.2, 0.2, 0.05, 200, ds, seed=3)
+            assert np.array_equal(x, ref[0]) and np.array_equal(y, ref[1]), ds
+        assert particles.time_grid(vel, 0.2, 0.05, 200, 2.0) == (1, 0.2)
+
     def test_input_validation(self, box64):
         zero = VelocityField.zero()
-        for bad in (dict(ds=0.0), dict(n=1), dict(n=0), dict(ds=2.0), dict(t=0.0),
+        for bad in (dict(ds=0.0), dict(n=1), dict(n=0), dict(t=0.0),
                     dict(kappa=-0.1), dict(t=np.inf), dict(t=np.nan), dict(ds=np.nan),
                     dict(kappa=np.nan), dict(kappa=np.inf), dict(n=100.0), dict(n=2.5),
                     dict(seed=1.5), dict(seed=True), dict(seed=-1)):
@@ -171,7 +180,7 @@ class TestFeynmanKac:
         with pytest.raises(ConfigError):
             feynman_kac(rho, VelocityField.zero(), 0.0, 0.1, 100, 0.1, seed=0)
         with pytest.raises(ConfigError):
-            feynman_kac(rho, VelocityField.zero(), 1.0, 0.1, 100, 2.0, seed=0)
+            feynman_kac(rho, VelocityField.zero(), 1.0, 0.1, 100, 0.0, seed=0)
         for bad in (np.nan, np.inf):
             values = rho.values.copy()
             values[3, 5] = bad

@@ -37,8 +37,10 @@ class TestConfigValidation:
             SolverConfig(kappa=0.1, dt=1e-3, t_end=1.0, record_every=0)
         with pytest.raises(ConfigError, match="solver.record_every"):
             SolverConfig(kappa=0.1, dt=1e-3, t_end=1.0, record_every=True)
-        with pytest.raises(ConfigError):
-            SolverConfig(kappa=0.1, dt=0.5, t_end=1.0, record_every=3)
+        # a stride longer than the run records t = 0 and the last step
+        cfg = SolverConfig(kappa=0.1, dt=0.5, t_end=1.0, record_every=3)
+        series = run(fourier_mode(DomainBox(1.0, 1.0, 8, 8)), VelocityField.zero(), cfg)
+        assert list(series.times) == [0.0, 1.0]
 
     def test_cfl_enforced_for_upwind(self, box64, params23):
         vel = make_velocity(params23, 1.0, 1e-3)
@@ -219,6 +221,26 @@ class TestRun:
         # interior samples spaced record_every * dt
         assert np.allclose(np.diff(series.times[:-1]), 0.07)
 
+    def test_stride_beyond_the_run_matches_the_run_length(self, box64, params23):
+        # 10 steps: a stride of 11 or 1000 samples what a stride of 10 samples
+        rho, vel = fourier_mode(box64, 1, 2), make_velocity(params23, 1.0, 1e-3)
+        ref = run(rho, vel, SolverConfig(kappa=0.05, dt=1e-2, t_end=0.1, record_every=10))
+        for stride in (11, 1000):
+            series = run(rho, vel, SolverConfig(kappa=0.05, dt=1e-2, t_end=0.1,
+                                                record_every=stride))
+            for name in ("times", "norms_sq", "dissipation"):
+                assert np.array_equal(getattr(series, name), getattr(ref, name)), name
+            assert np.array_equal(series.final_state.values, ref.final_state.values)
+
+    def test_readme_step_recipe_at_the_default_stride(self, box64, params23):
+        # README's replacement for anisodiff.step: run with t_end = dt, then
+        # .final_state, from a SolverConfig with the default record_every of 10
+        cfg = SolverConfig(kappa=0.05, dt=1e-2, t_end=1.0)
+        rho, vel = fourier_mode(box64, 1, 2), make_velocity(params23, 1.0, 1e-3)
+        series = run(rho, vel, replace(cfg, t_end=cfg.dt))
+        assert list(series.times) == [0.0, cfg.dt]
+        assert np.array_equal(series.final_state.values, one_step(rho, vel, cfg).values)
+
     def test_norms_non_increasing(self, box64, params23):
         rho = random_fourier_sum(box64, 3, seed=3)
         vel = make_velocity(params23, 0.5, 1e-3)
@@ -375,9 +397,13 @@ class TestStepMap:
 
 
 def scaled_identity(c):
-    """A stand-in for solver._step_map whose step multiplies the field by c."""
-    return lambda box, velocity, cfg: (c * sparse.identity(box.nx * box.ny),
-                                       np.ones((box.nx, box.ny // 2 + 1)))
+    """A stand-in for solver._step_map whose step multiplies the field by c
+    and, like the real one, drops the zero mode."""
+    def step_map(box, velocity, cfg):
+        factor = np.ones((box.nx, box.ny // 2 + 1))
+        factor[0, 0] = 0.0
+        return c * sparse.identity(box.nx * box.ny, format="csr"), factor
+    return step_map
 
 
 class TestInstability:
@@ -389,6 +415,15 @@ class TestInstability:
             run(fourier_mode(box64, 4, 4), VelocityField.zero(), cfg)
         assert err.value.time == pytest.approx(cfg.dt)
         assert "in one step" in str(err.value)
+
+    def test_slow_blowup_breaker(self, monkeypatch):
+        # 1.5x a step stays under the one-step limit, and no sample is
+        # recorded before 1.5**12 passes GROWTH_LIMIT**2 = 100
+        monkeypatch.setattr(solver_mod, "_step_map", scaled_identity(1.5))
+        cfg = SolverConfig(kappa=0.01, dt=0.01, t_end=0.2, record_every=20)
+        with pytest.raises(InstabilityError, match="exceeded 100x the initial value") as err:
+            run(fourier_mode(DomainBox(1.0, 1.0, 16, 16)), VelocityField.zero(), cfg)
+        assert err.value.time == pytest.approx(0.12)
 
 
 class TestEnergyGrowth:

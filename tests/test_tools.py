@@ -32,6 +32,14 @@ def test_artifact_digests_figures_case(tmp_path):
     assert lines == expect
 
 
+def test_artifact_digests_shear_case():
+    # the one config that builds domain.family = shear through the command line
+    lines = load_tool().case_digests("pde_shear")
+    assert [ln.split()[:3] for ln in lines] == [
+        ["pde_shear", "0", name]
+        for name in ("decay.csv", "decay.svg", "rho_final.csv", "summary.txt")]
+
+
 def test_artifact_digests_failed_sweep_cases():
     # one failed kappa fails the sweep with that run's exit code, and writes nothing
     tool = load_tool()

@@ -61,6 +61,8 @@ CASES = {
     "sde_k0": ("sde", {**SDE, "solver.kappa": 0.0}),
     # u = 0: one exact step of the whole t, and sde.csv's ds reads t
     "sde_zero_k0.05": ("sde", {**SDE, "domain.family": "zero", "solver.kappa": 0.05}),
+    # ds beyond t: the drifted particles take one step of the whole t
+    "sde_ds_beyond_t": ("sde", {**SDE, "solver.kappa": 0.05, "particles.ds": 0.3}),
     # steps longer than the box: DomainBox's wrap takes its np.mod fallback
     "sde_far": ("sde", {**SDE, "domain.amplitude": 100.0, "particles.ds": 0.05,
                         "particles.t": 0.5, "particles.x0": 0.9, "particles.y0": 0.8,
@@ -90,6 +92,12 @@ CASES = {
     "fdr_heat_stride10": ("fdr", {**FDR, "domain.family": "zero", "solver.kappa": 0.05,
                                   "solver.dt": 2e-3, "solver.record_every": 10,
                                   "particles.ds": 0.01, "particles.times": [0.5, 1.0]}),
+    # the only checkpoint, 5 steps, is shorter than the record stride of 10:
+    # its lhs is the run's final sample
+    "fdr_last_checkpoint_short": ("fdr", {**FDR, "solver.kappa": 0.05, "solver.dt": 1e-3,
+                                          "solver.record_every": 10,
+                                          "particles.ds": 1e-3,
+                                          "particles.times": [0.005]}),
     "sweep_zero": ("sweep", {**SWEEP, "domain.family": "zero"}),
     "sweep_stream": ("sweep", {**SWEEP, "domain.family": "stream"}),
     "sweep_upwind": ("sweep", {**SWEEP, "domain.family": "zero",
