@@ -208,8 +208,8 @@ def main(argv=None) -> int:
             cfg = load_config(base=payload["config"])
             experiment, outdir = payload["experiment"], Path(args.out)
         else:
-            base = {"experiment": args.command} if args.config is None else None
-            cfg = load_config(args.config, overrides=args.overrides, base=base)
+            cfg = load_config(args.config, overrides=args.overrides,
+                              base={"experiment": args.command})
             experiment, outdir = args.command, _resolve_outdir(args.out, cfg)
         if cfg.experiment != experiment:
             raise ConfigError(f"experiment: config says {cfg.experiment!r} but "

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import check_checkpoint, check_sweep, check_window
-from .domain import AnisotropyParams, DomainBox, VelocityField, make_velocity
+from .domain import AnisotropyParams, DomainBox, VelocityField
 from .errors import ConfigError
 from .fields import (ScalarField, fourier_mode, fourier_sum, fourier_terms,
                      random_fourier_sum)
@@ -179,15 +179,17 @@ def _build_launch_box(box: DomainBox, par: dict) -> DomainBox:
         raise ConfigError(str(exc).replace("domain.n", "particles.grid_n")) from None
 
 
-def _build_velocity(dom: dict, params: AnisotropyParams) -> VelocityField:
-    family, amp, eps = dom["family"], float(dom["amplitude"]), float(dom["epsilon"])
-    if family == "zero":
-        return VelocityField(family="zero", regularization=eps)
-    if family == "stream":
-        return make_velocity(params, amp, eps)
-    if family == "shear":
-        return VelocityField.shear(params, amp, eps)
-    raise ConfigError(f"domain.family: must be stream, shear, or zero, got {family!r}")
+def _check_nyquist(ini: dict, box: DomainBox) -> None:
+    """Every initial mode number, whatever initial.kind, at most its axis's
+    Nyquist mode: a higher mode aliases or vanishes at every cell centre."""
+    nx, ny = box.nx // 2, box.ny // 2
+    modes = [("initial.mx", ini["mx"], 1, ini["mx"]), ("initial.my", 1, ini["my"], ini["my"]),
+             ("initial.max_mode", ini["max_mode"], ini["max_mode"], ini["max_mode"])]
+    modes += [("initial.terms", term[0], term[1], term) for term in ini["terms"]]
+    for name, mx, my, given in modes:
+        if mx > nx or my > ny:
+            raise ConfigError(f"{name}: mode numbers must be <= domain.nx // 2 = {nx} along x "
+                              f"and <= domain.ny // 2 = {ny} along y, got {given!r}")
 
 
 def build_config(doc: dict) -> RunConfig:
@@ -211,11 +213,12 @@ def build_config(doc: dict) -> RunConfig:
         params = AnisotropyParams(p=dom["p"], q=dom["q"])
         box = DomainBox(half_width_x=float(dom["Lx"]), half_width_y=float(dom["Ly"]),
                         nx=dom["nx"], ny=dom["ny"])
-        nyquist = min(box.nx, box.ny) // 2   # higher modes only alias on the grid
-        if ini["max_mode"] > nyquist:
-            raise ConfigError(f"initial.max_mode: must be <= min(domain.nx, domain.ny) // 2 "
-                              f"= {nyquist}, got {ini['max_mode']}")
-        velocity = _build_velocity(dom, params)
+        _check_nyquist(ini, box)
+        if dom["family"] == "constant":
+            raise ConfigError("domain.family: 'constant' is a library flow with no config "
+                              "fields; use stream, shear or zero")
+        velocity = VelocityField(dom["family"], params, float(dom["amplitude"]),
+                                 float(dom["epsilon"]))
         solver = SolverConfig(kappa=float(sol["kappa"]), dt=float(sol["dt"]),
                               t_end=float(sol["t_end"]), scheme=sol["scheme"],
                               record_every=sol["record_every"])

@@ -10,8 +10,8 @@ With eps = 0 these reduce to |x|^p and |y|^q; a positive eps keeps the
 profiles smooth at the axes so that derivatives (and hence the velocity)
 stay bounded for exponents below 2.
 
-Errors name the config fields a user sets (domain.Lx for half_width_x,
-domain.epsilon for the regularization, which is >= 0 for every family).
+Errors name the config fields a user sets (domain.Lx for half_width_x);
+VelocityField's constructor is the one place that states the flow rules.
 """
 from __future__ import annotations
 
@@ -177,8 +177,12 @@ class VelocityField:
     Families:
       * ``stream``:   u = (dpsi/dy, -dpsi/dx), psi = A * f(x) * g(y).
       * ``shear``:    u = (A * g(y), 0), the classical shear comparison.
-      * ``constant``: u = (cx, cy), test plumbing.
+      * ``constant``: u = (cx, cy), the solver tests' translation reference.
       * ``zero``:     u = 0, pure-diffusion runs.
+
+    The constructor states every flow rule.  A stream flow with nonzero
+    amplitude needs epsilon > 0 when p < 1 or q < 1, or its components are
+    unbounded near the axes; at amplitude 0 a stream or shear flow `is_zero`.
 
     Evaluation is a pure function of (x, y); callers that live on the
     periodic box are responsible for wrapping coordinates first.
@@ -187,19 +191,24 @@ class VelocityField:
     family: str = "stream"
     params: AnisotropyParams | None = None
     amplitude: float = 1.0
-    regularization: float = 0.0
+    epsilon: float = 0.0
     constant: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.family not in ("stream", "shear", "constant", "zero"):
-            raise ConfigError(f"domain.family: unknown family {self.family!r}")
-        if not self.regularization >= 0:
-            raise ConfigError(f"domain.epsilon: must be >= 0, got {self.regularization}")
+            raise ConfigError(f"domain.family: must be stream, shear, constant or zero, "
+                              f"got {self.family!r}")
+        if not self.epsilon >= 0:
+            raise ConfigError(f"domain.epsilon: must be >= 0, got {self.epsilon}")
         if self.family in ("stream", "shear"):
             if self.params is None:
                 raise ConfigError(f"velocity.params: required for family {self.family!r}")
             if not np.isfinite(self.amplitude):
                 raise ConfigError("domain.amplitude: must be finite")
+        if (self.family == "stream" and self.amplitude != 0.0 and self.epsilon == 0.0
+                and min(self.params.p, self.params.q) < 1.0):
+            raise ConfigError(f"domain.epsilon: must be > 0 when p < 1 or q < 1 (got epsilon="
+                              f"{self.epsilon}, p={self.params.p}, q={self.params.q})")
 
     @property
     def is_zero(self) -> bool:
@@ -208,20 +217,6 @@ class VelocityField:
         if self.family == "constant":
             return self.constant == (0.0, 0.0)
         return self.amplitude == 0.0
-
-    @classmethod
-    def zero(cls) -> "VelocityField":
-        return cls(family="zero")
-
-    @classmethod
-    def of_constant(cls, cx: float, cy: float) -> "VelocityField":
-        return cls(family="constant", constant=(float(cx), float(cy)))
-
-    @classmethod
-    def shear(cls, params: AnisotropyParams, amplitude: float = 1.0,
-              epsilon: float = 0.0) -> "VelocityField":
-        return cls(family="shear", params=params, amplitude=amplitude,
-                   regularization=epsilon)
 
     def velocity(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """Component arrays (u_x, u_y) at the given coordinates, new arrays
@@ -233,7 +228,7 @@ class VelocityField:
         if self.family == "constant":
             cx, cy = self.constant
             return np.full_like(x, cx), np.full_like(y, cy)
-        eps = self.regularization
+        eps = self.epsilon
         a = self.amplitude
         if self.family == "shear":
             return a * profile(y, self.params.q, eps), np.zeros_like(y)
@@ -257,21 +252,10 @@ class VelocityField:
 
 def make_velocity(params: AnisotropyParams, amplitude: float,
                   epsilon: float) -> VelocityField:
-    """Stream-function field with the prescribed anisotropy.
-
-    amplitude == 0 gives the zero field (a pure-diffusion run).  epsilon
-    must be >= 0, and > 0 when either exponent is below 1, or the velocity
-    components are unbounded near the axes.
-    """
-    if amplitude == 0.0 and epsilon >= 0.0:
-        return VelocityField.zero()
-    if epsilon <= 0.0 and (params.p < 1.0 or params.q < 1.0):
-        raise ConfigError(
-            f"domain.epsilon: must be > 0 when p < 1 or q < 1 "
-            f"(got epsilon={epsilon}, p={params.p}, q={params.q})"
-        )
-    return VelocityField(family="stream", params=params, amplitude=amplitude,
-                         regularization=epsilon)
+    """The stream flow psi = amplitude * f(x) * g(y), under VelocityField's
+    rules; amplitude 0 gives a stream flow that `is_zero` (a pure-diffusion
+    run)."""
+    return VelocityField("stream", params, amplitude, epsilon)
 
 
 def divergence_residual(field: VelocityField, box: DomainBox) -> float:

@@ -37,7 +37,7 @@ def heat_series():
     box = DomainBox(1.0, 1.0, 128, 128)
     rho = fourier_mode(box, 1, 1)
     cfg = SolverConfig(kappa=0.01, dt=1e-3, t_end=2.0, record_every=10)
-    return run(rho, VelocityField.zero(), cfg)
+    return run(rho, VelocityField("zero"), cfg)
 
 
 def test_criterion_01_figure_reproduction(tmp_path):
@@ -123,7 +123,7 @@ def test_criterion_06_brownian_statistics():
     t0 = time.perf_counter()
     box = DomainBox(1.0, 1.0, 128, 128)
     kappa, t, n = 0.01, 1.0, 100_000
-    x, y = endpoints(box, VelocityField.zero(), 0.0, 0.0, t, kappa, n, t / 100,
+    x, y = endpoints(box, VelocityField("zero"), 0.0, 0.0, t, kappa, n, t / 100,
                      seed=60606)
     dx, dy = box.wrap_x(x - 0.0), box.wrap_y(y - 0.0)
     target = 2 * kappa * t
@@ -147,7 +147,7 @@ def test_criterion_07_feynman_kac_agreement():
     rho0 = fourier_mode(box, 1, 1)
     kappa, t, n = 0.05, 0.5, 10_000
     cases = {
-        "u=0": (VelocityField.zero(), 5e-3, 2024),
+        "u=0": (VelocityField("zero"), 5e-3, 2024),
         "stream(2,3)": (make_velocity(AnisotropyParams(p=2, q=3), 0.25, 1e-3),
                         2.5e-3, 2025),
     }
@@ -174,7 +174,7 @@ def test_criterion_08_fdr_ratio_stability():
     launch = DomainBox(1.0, 1.0, 32, 32)
     rho0 = fourier_mode(box, 1, 1)
     cfg = SolverConfig(kappa=0.05, dt=2e-3, t_end=1.0, record_every=10)
-    results = [fdr_check(rho0, VelocityField.zero(), cfg, times=[1.0], n=10_000,
+    results = [fdr_check(rho0, VelocityField("zero"), cfg, times=[1.0], n=10_000,
                          ds=0.01, seed=seed, launch_box=launch)[0]
                for seed in (11, 22, 33)]
     ok = True
@@ -194,7 +194,7 @@ def test_criterion_09_pure_diffusion_sweep_linearity():
     kappas = [1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1]
     # kappa * dt held constant: the discrete decay is scale-invariant
     cfg = SolverConfig(kappa=kappas[0], dt=1e-2, t_end=1.0, record_every=1)
-    fit = sweep_and_fit(kappas, rho, VelocityField.zero(), cfg,
+    fit = sweep_and_fit(kappas, rho, VelocityField("zero"), cfg,
                         dts=[4e-4 / k for k in kappas],
                         t_ends=[0.07 / k for k in kappas])
     ok = fit.ci95 <= 0.05 and abs(fit.slope - 1.0) <= max(fit.ci95, 1e-6)

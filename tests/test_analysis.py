@@ -222,7 +222,7 @@ def scale_invariant_sweep(box, kappas):
     cfg = SolverConfig(kappa=kappas[0], dt=1e-2, t_end=1.0, record_every=1)
     dts = [4e-4 / k for k in kappas]
     t_ends = [0.07 / k for k in kappas]
-    return sweep_and_fit(kappas, rho, VelocityField.zero(), cfg, dts=dts, t_ends=t_ends)
+    return sweep_and_fit(kappas, rho, VelocityField("zero"), cfg, dts=dts, t_ends=t_ends)
 
 
 class InlinePool:
@@ -261,7 +261,7 @@ class TestSweepAndFit:
     def test_validation(self, box64):
         rho = fourier_mode(box64, 1, 1)
         cfg = SolverConfig(kappa=1e-2, dt=1e-2, t_end=1.0)
-        vel = VelocityField.zero()
+        vel = VelocityField("zero")
         with pytest.raises(ConfigError):
             sweep_and_fit([1e-2, 1e-1, 1.0], rho, vel, cfg)  # too few
         with pytest.raises(ConfigError):
@@ -316,7 +316,7 @@ class TestSweepAndFit:
         # kappa's failure is the sweep's
         cfg = SolverConfig(kappa=1e-3, dt=1e-3, t_end=0.01, record_every=1)
         with pytest.raises(InsufficientDecayError, match=r"^sweep: kappa=0\.001: fit: "):
-            sweep_and_fit([1e-3, 2e-3, 5e-3, 1e-2], rho, VelocityField.zero(), cfg)
+            sweep_and_fit([1e-3, 2e-3, 5e-3, 1e-2], rho, VelocityField("zero"), cfg)
 
     def test_one_failed_kappa_fails_the_sweep(self):
         box = DomainBox(1.0, 1.0, 32, 32)
@@ -327,7 +327,7 @@ class TestSweepAndFit:
         # first kappa gets a t_end too short to decay; the other four fit
         t_ends = [0.4] + [0.07 / k for k in kappas[1:]]
         with pytest.raises(InsufficientDecayError, match=r"^sweep: kappa=0\.001: "):
-            sweep_and_fit(kappas, rho, VelocityField.zero(), cfg,
+            sweep_and_fit(kappas, rho, VelocityField("zero"), cfg,
                           dts=dts, t_ends=t_ends)
 
     def test_instability_keeps_its_time(self, monkeypatch):
@@ -343,9 +343,9 @@ class TestSweepAndFit:
         rho = fourier_mode(box, 1, 1)
         cfg = SolverConfig(kappa=1e-3, dt=1e-2, t_end=1.0, record_every=1)
         with pytest.raises(InstabilityError) as direct:
-            run(rho, VelocityField.zero(), replace(cfg, kappa=2e-2, dt=0.02, t_end=3.5))
+            run(rho, VelocityField("zero"), replace(cfg, kappa=2e-2, dt=0.02, t_end=3.5))
         with pytest.raises(InstabilityError, match=r"^sweep: kappa=0\.02: ") as err:
-            sweep_and_fit([1e-3, 5e-3, 2e-2, 1e-1], rho, VelocityField.zero(), cfg,
+            sweep_and_fit([1e-3, 5e-3, 2e-2, 1e-1], rho, VelocityField("zero"), cfg,
                           dts=[0.4, 0.08, 0.02, 0.004], t_ends=[70.0, 14.0, 3.5, 0.7])
         assert err.value.time is not None
         assert err.value.time == direct.value.time
@@ -376,14 +376,14 @@ class TestFdrCheck:
         rho = fourier_mode(box64, 1, 1)
         cfg = SolverConfig(kappa=0.05, dt=3e-3, t_end=0.999, record_every=10)
         with pytest.raises(ConfigError, match="whole number of solver steps"):
-            fdr_check(rho, VelocityField.zero(), cfg, times=[1.0], n=100, ds=0.01, seed=3)
+            fdr_check(rho, VelocityField("zero"), cfg, times=[1.0], n=100, ds=0.01, seed=3)
 
     def test_checkpoint_off_record_stride_rejected(self, box64):
         # 0.25 is 25 steps of 0.01: no sample of a record_every = 10 run
         rho = fourier_mode(box64, 1, 1)
         cfg = SolverConfig(kappa=0.05, dt=0.01, t_end=0.5, record_every=10)
         with pytest.raises(ConfigError, match="particles.times: checkpoint 0.25"):
-            fdr_check(rho, VelocityField.zero(), cfg, times=[0.25, 0.5], n=10, ds=0.01,
+            fdr_check(rho, VelocityField("zero"), cfg, times=[0.25, 0.5], n=10, ds=0.01,
                       seed=3)
 
     def test_repeated_checkpoint_rejected(self):
@@ -412,7 +412,7 @@ class TestFdrCheck:
         rho = fourier_mode(box64, 1, 1)
         launch = DomainBox(1.0, 1.0, 16, 16)
         cfg = SolverConfig(kappa=0.05, dt=2e-3, t_end=0.5, record_every=10)
-        res = fdr_check(rho, VelocityField.zero(), cfg, times=[0.5], n=1500, ds=5e-3,
+        res = fdr_check(rho, VelocityField("zero"), cfg, times=[0.5], n=1500, ds=5e-3,
                         seed=7, launch_box=launch)[0]
         print(f"\nfdr: lhs={res.lhs:.4f} rhs={res.rhs:.4f} ratio={res.ratio:.4f} "
               f"(rhs stderr {res.rhs_stderr:.4f})")

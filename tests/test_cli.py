@@ -115,6 +115,18 @@ class TestPde:
         cfg = write_config(tmp_path, HEAT_CONFIG)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command,doc", [
+        ("figures", {}),
+        ("sde", {"domain": {"family": "zero", "nx": 32, "ny": 32},
+                 "particles": {"n": 100, "ds": 0.01, "t": 0.1, "seed": 7}}),
+    ])
+    def test_config_without_experiment_runs_the_command(self, tmp_path, command, doc):
+        # the command names the experiment that the file leaves out
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "x"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert load_manifest(out / "manifest.json")["experiment"] == command
+
     def test_set_overrides(self, tmp_path):
         cfg = write_config(tmp_path, HEAT_CONFIG)
         out1 = tmp_path / "a"
@@ -612,6 +624,16 @@ BAD_CONFIGS = [
     ("sde", ["initial.kind=random", "initial.max_mode=17"], "initial.max_mode"),
     ("pde", ["initial.max_mode=10000"], "initial.max_mode"),
     ("pde", ["initial.mx=0"], "initial.mx"),
+    # a mode past its axis's Nyquist mode vanishes at every cell centre or
+    # aliases, whatever initial.kind
+    ("pde", ["domain.nx=16", "domain.ny=16", "initial.mx=16"], "initial.mx"),
+    ("pde", ["domain.nx=16", "domain.ny=8", "initial.my=5"], "initial.my"),
+    ("pde", ["domain.nx=16", "domain.ny=16", "initial.kind=random", "initial.mx=9"],
+     "initial.mx"),
+    ("pde", ["domain.nx=16", "domain.ny=16", "initial.kind=sum",
+             'initial.terms=[[9,1,"cs",1.0]]'], "initial.terms"),
+    ("pde", ["domain.nx=16", "domain.ny=8", "initial.kind=sum",
+             'initial.terms=[[1,1,"ss",1.0],[8,5,"ss",1.0]]'], "initial.terms"),
     ("pde", ["initial.my=0"], "initial.my"),
     ("pde", ["solver.t_end=1", "solver.record_every=1", "solver.dt=0.3"], "solver.t_end"),
     ("pde", ["solver.t_end=1", "solver.record_every=1", "solver.dt=0.4"], "solver.t_end"),
@@ -727,8 +749,11 @@ def test_integral_float_reads_as_integer(tmp_path):
 
 
 def test_max_mode_up_to_the_nyquist_mode_runs(tmp_path):
-    # min(nx, ny) // 2 = 4 on a 16 x 8 grid: the highest mode the grid resolves
+    # min(nx, ny) // 2 = 4 on a 16 x 8 grid: the highest mode the grid resolves;
+    # each axis's own bound, nx // 2 = 8 along x, holds the other mode numbers
     out = tmp_path / "sde"
     assert main(["sde", "--config", write_config(tmp_path, MANIFEST_CASES["sde"]),
                  "--out", str(out), "--set", "initial.kind=random", "--set", "domain.nx=16",
-                 "--set", "domain.ny=8", "--set", "initial.max_mode=4"]) == 0
+                 "--set", "domain.ny=8", "--set", "initial.max_mode=4",
+                 "--set", "initial.mx=8", "--set", "initial.my=4",
+                 "--set", 'initial.terms=[[8,4,"ss",1.0]]']) == 0

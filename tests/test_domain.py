@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from anisodiff.domain import (AnisotropyParams, DomainBox, VelocityField,
                               _wrap_in_place, divergence_residual, make_velocity,
                               profile)
+from anisodiff.config import load_config
 from anisodiff.errors import ConfigError
 
 
@@ -177,7 +178,7 @@ class TestFusedVelocityBits:
     @pytest.mark.parametrize("q", EXPONENTS)
     def test_shear(self, q, eps):
         a = 0.7
-        vel = VelocityField.shear(AnisotropyParams(p=2, q=q), a, eps)
+        vel = VelocityField("shear", AnisotropyParams(p=2, q=q), a, eps)
         for x, y in self.points():
             ux, uy = vel.velocity(x, y)
             assert_same_bits(ux, a * profile(y, q, eps))
@@ -210,8 +211,8 @@ class TestMakeVelocity:
 
     def test_zero_amplitude_gives_zero_field(self):
         # a pure-diffusion run: no regularization is needed without a flow
-        assert make_velocity(AnisotropyParams(p=2, q=3), 0.0, 1e-3) == VelocityField.zero()
-        assert make_velocity(AnisotropyParams(p=0.5, q=3), 0.0, 0.0) == VelocityField.zero()
+        assert make_velocity(AnisotropyParams(p=2, q=3), 0.0, 1e-3).is_zero
+        assert make_velocity(AnisotropyParams(p=0.5, q=3), 0.0, 0.0).is_zero
 
     def test_small_exponent_needs_regularization(self):
         with pytest.raises(ConfigError):
@@ -242,16 +243,40 @@ class TestMakeVelocity:
         assert float(uy) == pytest.approx(-psi_x, rel=1e-6)
 
 
+def stream_by_constructor(p, amplitude, epsilon):
+    return VelocityField("stream", AnisotropyParams(p=p, q=3), amplitude, epsilon)
+
+
+def stream_by_make_velocity(p, amplitude, epsilon):
+    return make_velocity(AnisotropyParams(p=p, q=3), amplitude, epsilon)
+
+
+def stream_by_config(p, amplitude, epsilon):
+    return load_config(overrides=[f"domain.p={p}", f"domain.amplitude={amplitude}",
+                                  f"domain.epsilon={epsilon}"]).velocity
+
+
+@pytest.mark.parametrize("build", [stream_by_constructor, stream_by_make_velocity,
+                                   stream_by_config])
+def test_epsilon_rule_however_a_stream_flow_is_built(build):
+    # p < 1 at epsilon = 0 makes u_y unbounded at the axis, unless there is no flow
+    with pytest.raises(ConfigError, match="domain.epsilon: must be > 0 when p < 1"):
+        build(0.5, 1.0, 0.0)
+    assert build(0.5, 0.0, 0.0).is_zero
+    assert not build(0.5, 1.0, 1e-3).is_zero
+
+
 class TestDivergenceResidual:
     def test_constant_field_exact_zero(self):
         box = DomainBox(1.0, 1.0, 32, 32)
-        assert divergence_residual(VelocityField.of_constant(1.3, -0.4), box) == 0.0
+        vel = VelocityField("constant", constant=(1.3, -0.4))
+        assert divergence_residual(vel, box) == 0.0
 
     def test_shear_field_zero(self):
         par = AnisotropyParams(p=2, q=3)
         box = DomainBox(1.0, 1.0, 32, 32)
         # u_x depends only on y, so the x-difference vanishes identically
-        assert divergence_residual(VelocityField.shear(par, 1.0), box) <= 1e-12
+        assert divergence_residual(VelocityField("shear", par, 1.0), box) <= 1e-12
 
     def test_stream_field_second_order(self):
         vel = make_velocity(AnisotropyParams(p=2, q=3), 1.0, 1e-3)

@@ -23,7 +23,7 @@ class TestSdeStep:
     def test_frozen_without_noise_or_drift(self, box64, monkeypatch):
         generators = []
         monkeypatch.setattr(particles, "_substream", lambda *a: generators.append(a))
-        x, y = endpoints(box64, VelocityField.zero(), 0.2, -0.3, 1.0, 0.0, 100, 0.1,
+        x, y = endpoints(box64, VelocityField("zero"), 0.2, -0.3, 1.0, 0.0, 100, 0.1,
                          seed=1)
         assert generators == []
         assert np.array_equal(x, box64.wrap_x(np.full(100, 0.2)))
@@ -32,15 +32,15 @@ class TestSdeStep:
     def test_constant_drift_backward_shift(self, box64):
         # backward trajectories shift by -c t for a constant field
         c, t = 0.4, 0.75
-        x, y = endpoints(box64, VelocityField.of_constant(c, 0.0), 0.1, 0.0, t, 0.0,
-                         50, t / 30, seed=2)
+        x, y = endpoints(box64, VelocityField("constant", constant=(c, 0.0)), 0.1, 0.0, t,
+                         0.0, 50, t / 30, seed=2)
         assert np.allclose(box64.wrap_x(x - 0.1), -c * t, atol=1e-12)
         assert np.allclose(box64.wrap_y(y - 0.0), 0.0, atol=1e-12)
 
     def test_brownian_moments(self, box64):
         # u = 0: displacements are exactly N(0, 2 kappa t) per axis
         kappa, t, n = 0.01, 1.0, 20000
-        x, y = endpoints(box64, VelocityField.zero(), 0.0, 0.0, t, kappa, n, t / 100,
+        x, y = endpoints(box64, VelocityField("zero"), 0.0, 0.0, t, kappa, n, t / 100,
                          seed=11)
         target = 2 * kappa * t
         se_mean = np.sqrt(target / n)
@@ -50,8 +50,8 @@ class TestSdeStep:
             assert abs(np.var(d, ddof=1) - target) < 3 * se_var
 
     def test_positions_stay_wrapped(self, box64):
-        x, y = endpoints(box64, VelocityField.of_constant(2.0, -3.0), 0.9, 0.9, 2.0,
-                         0.5, 500, 2.0 / 40, seed=4)
+        vel = VelocityField("constant", constant=(2.0, -3.0))
+        x, y = endpoints(box64, vel, 0.9, 0.9, 2.0, 0.5, 500, 2.0 / 40, seed=4)
         assert np.all(x >= -1.0) and np.all(x < 1.0)
         assert np.all(y >= -1.0) and np.all(y < 1.0)
 
@@ -74,7 +74,7 @@ class TestSdeStep:
         expect_x = box.wrap_x(box.wrap_x(np.full(n, 0.25)) + sig * z[0])
         expect_y = box.wrap_y(box.wrap_y(np.full(n, -0.375)) + sig * z[1])
         for ds in (t, t / 7, t / 30):
-            x, y = endpoints(box, VelocityField.zero(), 0.25, -0.375, t, kappa, n, ds,
+            x, y = endpoints(box, VelocityField("zero"), 0.25, -0.375, t, kappa, n, ds,
                              seed)
             assert np.array_equal(x, expect_x), ds
             assert np.array_equal(y, expect_y), ds
@@ -89,7 +89,7 @@ class TestSdeStep:
         assert particles.time_grid(vel, 0.2, 0.05, 200, 2.0) == (1, 0.2)
 
     def test_input_validation(self, box64):
-        zero = VelocityField.zero()
+        zero = VelocityField("zero")
         for bad in (dict(ds=0.0), dict(n=1), dict(n=0), dict(t=0.0),
                     dict(kappa=-0.1), dict(t=np.inf), dict(t=np.nan), dict(ds=np.nan),
                     dict(kappa=np.nan), dict(kappa=np.inf), dict(n=100.0), dict(n=2.5),
@@ -137,9 +137,9 @@ def assert_same_bits(got, want):
 STEP_FIELDS = {
     "stream23": make_velocity(AnisotropyParams(p=2, q=3), 0.7, 1e-3),
     "stream1.5_1": make_velocity(AnisotropyParams(p=1.5, q=1), 0.7, 1e-2),
-    "shear": VelocityField.shear(AnisotropyParams(p=2, q=3), 0.7),
-    "constant": VelocityField.of_constant(0.3, -2.9),
-    "zero": VelocityField.zero(),
+    "shear": VelocityField("shear", AnisotropyParams(p=2, q=3), 0.7),
+    "constant": VelocityField("constant", constant=(0.3, -2.9)),
+    "zero": VelocityField("zero"),
 }
 
 
@@ -176,23 +176,23 @@ class TestFeynmanKac:
     def test_rejects_degenerate_input(self, box64):
         rho = fourier_mode(box64, 1, 1)
         with pytest.raises(ConfigError):
-            feynman_kac(rho, VelocityField.zero(), 1.0, 0.1, 1, 0.1, seed=0)
+            feynman_kac(rho, VelocityField("zero"), 1.0, 0.1, 1, 0.1, seed=0)
         with pytest.raises(ConfigError):
-            feynman_kac(rho, VelocityField.zero(), 0.0, 0.1, 100, 0.1, seed=0)
+            feynman_kac(rho, VelocityField("zero"), 0.0, 0.1, 100, 0.1, seed=0)
         with pytest.raises(ConfigError):
-            feynman_kac(rho, VelocityField.zero(), 1.0, 0.1, 100, 0.0, seed=0)
+            feynman_kac(rho, VelocityField("zero"), 1.0, 0.1, 100, 0.0, seed=0)
         for bad in (np.nan, np.inf):
             values = rho.values.copy()
             values[3, 5] = bad
             with pytest.raises(ConfigError, match="rho0 must be finite"):
-                feynman_kac(ScalarField(box64, values), VelocityField.zero(), 0.1, 0.1,
+                feynman_kac(ScalarField(box64, values), VelocityField("zero"), 0.1, 0.1,
                             10, 0.1, seed=0)
 
     def test_rejects_launch_box_of_other_extent(self, box64):
         rho = fourier_mode(box64, 1, 1)
         for launch in (DomainBox(0.5, 2.0, 8, 8), DomainBox(1.0, 2.0, 8, 8)):
             with pytest.raises(ConfigError, match="particles.launch_box"):
-                feynman_kac(rho, VelocityField.zero(), 0.1, 0.1, 10, 0.1, seed=0,
+                feynman_kac(rho, VelocityField("zero"), 0.1, 0.1, 10, 0.1, seed=0,
                             launch_box=launch)
 
     @pytest.mark.parametrize("kappa", [0.1, 0.0])
@@ -209,17 +209,17 @@ class TestFeynmanKac:
                           (dict(stream=False), "stream")):
             args = dict(dict(seed=0, stream=0), **bad)
             with pytest.raises(ConfigError, match=f"^{name}:"):
-                feynman_kac(rho, VelocityField.zero(), 0.1, kappa, 10, 0.1, **args)
+                feynman_kac(rho, VelocityField("zero"), 0.1, kappa, 10, 0.1, **args)
         assert generators == []
         monkeypatch.undo()
-        feynman_kac(rho, VelocityField.zero(), 0.1, kappa, 10, 0.1,
+        feynman_kac(rho, VelocityField("zero"), 0.1, kappa, 10, 0.1,
                     seed=np.int64(3), stream=np.uint8(1))
 
     def test_short_time_limit(self, box64):
         # one tiny step: mean ~ rho0, variance ~ 2 kappa t |grad rho0|^2
         rho = fourier_mode(box64, 1, 1)
         launch = DomainBox(1.0, 1.0, 16, 16)
-        mean, vmap = feynman_kac(rho, VelocityField.zero(), t=0.01, kappa=0.05,
+        mean, vmap = feynman_kac(rho, VelocityField("zero"), t=0.01, kappa=0.05,
                                  n=4000, ds=0.01, seed=5, launch_box=launch)
         rho_at_launch = sample_many(rho, *launch.grid())
         assert np.max(np.abs(mean.values - rho_at_launch)) < 0.02
@@ -239,9 +239,9 @@ class TestFeynmanKac:
         rho = fourier_mode(box64, 1, 1)
         launch = DomainBox(1.0, 1.0, 16, 16)
         n = 2000
-        mean, vmap = feynman_kac(rho, VelocityField.zero(), t, kappa, n=n,
+        mean, vmap = feynman_kac(rho, VelocityField("zero"), t, kappa, n=n,
                                  ds=5e-3, seed=12, launch_box=launch)
-        series = run(rho, VelocityField.zero(),
+        series = run(rho, VelocityField("zero"),
                      SolverConfig(kappa=kappa, dt=2e-3, t_end=t, record_every=10))
         pde_at_launch = sample_many(series.final_state, *launch.grid())
         err = np.sqrt(np.sum((mean.values - pde_at_launch) ** 2)
@@ -254,8 +254,8 @@ class TestFeynmanKac:
         rho = fourier_mode(box64, 1, 1)
         launch = DomainBox(1.0, 1.0, 8, 8)
         args = dict(t=0.2, kappa=0.05, n=300, ds=0.02, seed=21, launch_box=launch)
-        m1, v1 = feynman_kac(rho, VelocityField.zero(), **args)
-        m2, v2 = feynman_kac(rho, VelocityField.zero(), **args)
+        m1, v1 = feynman_kac(rho, VelocityField("zero"), **args)
+        m2, v2 = feynman_kac(rho, VelocityField("zero"), **args)
         assert np.array_equal(m1.values, m2.values)
         assert np.array_equal(v1.values, v2.values)
 
@@ -263,8 +263,8 @@ class TestFeynmanKac:
         rho = fourier_mode(box64, 1, 1)
         launch = DomainBox(1.0, 1.0, 16, 16)
         args = dict(t=0.5, kappa=0.05, n=2000, ds=0.01, launch_box=launch)
-        _, va = feynman_kac(rho, VelocityField.zero(), seed=101, **args)
-        _, vb = feynman_kac(rho, VelocityField.zero(), seed=202, **args)
+        _, va = feynman_kac(rho, VelocityField("zero"), seed=101, **args)
+        _, vb = feynman_kac(rho, VelocityField("zero"), seed=202, **args)
         ia, ib = variance_integral(va), variance_integral(vb)
         joint = np.hypot(variance_integral_stderr(va), variance_integral_stderr(vb))
         print(f"\nsubstream check: {ia:.4f} vs {ib:.4f} (3 sigma = {3 * joint:.4f})")
@@ -278,7 +278,7 @@ class TestFeynmanKac:
         exact = np.exp(-kappa * MODE_EIGENVALUE * t) * sample_many(rho, *launch.grid())
         errs = []
         for n in (500, 2000, 8000):
-            mean, _ = feynman_kac(rho, VelocityField.zero(), t, kappa, n=n,
+            mean, _ = feynman_kac(rho, VelocityField("zero"), t, kappa, n=n,
                                   ds=5e-3, seed=31, launch_box=launch)
             errs.append(np.sqrt(np.mean((mean.values - exact) ** 2)))
         r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
@@ -294,7 +294,7 @@ class TestFeynmanKac:
         rho = fourier_mode(box64, 1, 1)
         launch = DomainBox(1.0, 1.0, 8, 8)
         n, t, kappa, m, seed = 500, 0.3, 0.05, 30, 41
-        mean, vmap = feynman_kac(rho, VelocityField.zero(), t=t, kappa=kappa,
+        mean, vmap = feynman_kac(rho, VelocityField("zero"), t=t, kappa=kappa,
                                  n=n, ds=t / m, seed=seed, launch_box=launch)
         sig = np.sqrt(2.0 * kappa * t)
         xg, yg = launch.grid()
@@ -313,7 +313,7 @@ class TestTwoPointLaw:
     """A drifted field's increments are fair signs times sig = sqrt(2 kappa ds),
     independent per axis: the simplified weak Euler scheme."""
 
-    FIELD = VelocityField.of_constant(0.3, -0.2)
+    FIELD = VelocityField("constant", constant=(0.3, -0.2))
     KAPPA, T = 0.45, 0.1
 
     def test_one_step_displacements_are_fair_signs(self, box64):
@@ -379,7 +379,7 @@ class TestExactDiffusion:
     def test_step_size_does_not_change_bits(self, box):
         rho = random_fourier_sum(box, 3, seed=9)
         t = 0.4
-        runs = [feynman_kac(rho, VelocityField.zero(), t, 0.05, n=64, ds=ds, seed=13)
+        runs = [feynman_kac(rho, VelocityField("zero"), t, 0.05, n=64, ds=ds, seed=13)
                 for ds in (t, t / 7, t / 30)]
         (ref_mean, ref_var), *others = runs
         for mean, vmap in others:
@@ -473,7 +473,7 @@ class TestSingleKernel:
         Either pool has min(CPUs, chunks) workers and gives a 1-worker run's
         bits.  A cap of 1920 cuts the 80 points into 3 chunks, 60 000 into 1."""
         rho, vel, launch = stream_case
-        vel = vel if field == "stream" else VelocityField.zero()
+        vel = vel if field == "stream" else VelocityField("zero")
         args = dict(t=0.2, kappa=0.05, n=60, ds=ds, seed=17, launch_box=launch,
                     stream=2)
         built = []
@@ -538,7 +538,7 @@ class TestZeroKappa:
     @pytest.mark.parametrize("family", ["zero", "stream"])
     def test_matches_noise_free_reference(self, box, family, params23, monkeypatch):
         rho = random_fourier_sum(box, 3, seed=2)
-        vel = (VelocityField.zero() if family == "zero"
+        vel = (VelocityField("zero") if family == "zero"
                else make_velocity(params23, 0.5, 1e-3))
         t, m, n = 0.3, 15, 50
         generators = []

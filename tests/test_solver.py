@@ -39,7 +39,7 @@ class TestConfigValidation:
             SolverConfig(kappa=0.1, dt=1e-3, t_end=1.0, record_every=True)
         # a stride longer than the run records t = 0 and the last step
         cfg = SolverConfig(kappa=0.1, dt=0.5, t_end=1.0, record_every=3)
-        series = run(fourier_mode(DomainBox(1.0, 1.0, 8, 8)), VelocityField.zero(), cfg)
+        series = run(fourier_mode(DomainBox(1.0, 1.0, 8, 8)), VelocityField("zero"), cfg)
         assert list(series.times) == [0.0, 1.0]
 
     def test_cfl_enforced_for_upwind(self, box64, params23):
@@ -66,7 +66,7 @@ class TestConfigValidation:
         dt = 0.9 * h * h / (4 * kappa)
         cfg = SolverConfig(kappa=kappa, dt=dt, t_end=200 * dt, scheme="upwind",
                            record_every=1)
-        vel = VelocityField.of_constant(c, c)
+        vel = VelocityField("constant", constant=(c, c))
         with pytest.raises(ConfigError, match="solver.dt") as err:
             run(fourier_mode(box, 4, 4), vel, cfg)
         assert f"needs dt <= {dt / 2.7:.3e}" in str(err.value)
@@ -93,7 +93,7 @@ class TestDiffusionStep:
     def test_zero_field_stays_zero(self, box64):
         cfg = SolverConfig(kappa=0.1, dt=1e-2, t_end=1.0)
         zero = mean_zero_project(ScalarField(box64, np.zeros((64, 64))))
-        out = one_step(zero, VelocityField.zero(), cfg)
+        out = one_step(zero, VelocityField("zero"), cfg)
         assert np.all(out.values == 0.0)
 
     @pytest.mark.parametrize("kappa,dt", [(0.5, 0.1), (0.01, 1e-3)])
@@ -102,7 +102,7 @@ class TestDiffusionStep:
         # which matches exp(-a) to O(a^3)
         rho = fourier_mode(box64, 1, 1)
         cfg = SolverConfig(kappa=kappa, dt=dt, t_end=1.0)
-        out = one_step(rho, VelocityField.zero(), cfg)
+        out = one_step(rho, VelocityField("zero"), cfg)
         a = kappa * MODE_EIGENVALUE * dt
         measured = out.values[10, 20] / rho.values[10, 20]
         cn = (1 - a / 2) / (1 + a / 2)
@@ -116,7 +116,7 @@ class TestDiffusionStep:
         errs = []
         for dt in (0.2, 0.1, 0.05):
             cfg = SolverConfig(kappa=kappa, dt=dt, t_end=1.0, record_every=1)
-            out = one_step(rho, VelocityField.zero(), cfg)
+            out = one_step(rho, VelocityField("zero"), cfg)
             a = kappa * MODE_EIGENVALUE * dt
             errs.append(abs(out.values[5, 7] / rho.values[5, 7] - np.exp(-a)))
         assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.25)
@@ -128,7 +128,7 @@ class TestDiffusionStep:
         shifted.values += 1.0   # the mean is checked on the values run gets
         for raw in (ScalarField(box64, np.ones((64, 64))), shifted):
             with pytest.raises(ConfigError):
-                one_step(raw, VelocityField.zero(), cfg)
+                one_step(raw, VelocityField("zero"), cfg)
 
 
 class TestSemiLagrangianAdvection:
@@ -140,7 +140,7 @@ class TestSemiLagrangianAdvection:
         cx = 2 * box64.hx / dt
         cy = 1 * box64.hy / dt
         cfg = SolverConfig(kappa=0.0, dt=dt, t_end=1.0)
-        out = one_step(rho, VelocityField.of_constant(cx, cy), cfg)
+        out = one_step(rho, VelocityField("constant", constant=(cx, cy)), cfg)
         assert np.allclose(out.values, np.roll(rho.values, (2, 1), axis=(0, 1)),
                            atol=1e-12)
         assert l2_norm_sq(out) == pytest.approx(l2_norm_sq(rho), rel=1e-12)
@@ -148,7 +148,8 @@ class TestSemiLagrangianAdvection:
     def test_generic_translation_small_loss(self, box64):
         rho = fourier_mode(box64, 1, 1)
         cfg = SolverConfig(kappa=0.0, dt=0.1, t_end=1.0)
-        out = one_step(rho, VelocityField.of_constant(0.37 * box64.hx / 0.1, 0.0), cfg)
+        vel = VelocityField("constant", constant=(0.37 * box64.hx / 0.1, 0.0))
+        out = one_step(rho, vel, cfg)
         ratio = l2_norm_sq(out) / l2_norm_sq(rho)
         assert 0.995 <= ratio <= 1.0 + 1e-12
 
@@ -201,14 +202,14 @@ class TestRun:
     def test_heat_decay_against_analytic(self, box128):
         rho = fourier_mode(box128, 1, 1)
         cfg = SolverConfig(kappa=0.01, dt=1e-3, t_end=1.0, record_every=10)
-        series = run(rho, VelocityField.zero(), cfg)
+        series = run(rho, VelocityField("zero"), cfg)
         expect = np.exp(-2 * 0.01 * MODE_EIGENVALUE * series.times)
         assert np.max(np.abs(series.norms_sq / series.norms_sq[0] - expect)) < 1e-2
 
     def test_series_starts_at_initial_norm(self, box64):
         rho = fourier_mode(box64, 1, 1)
         cfg = SolverConfig(kappa=0.05, dt=1e-2, t_end=0.5, record_every=5)
-        series = run(rho, VelocityField.zero(), cfg)
+        series = run(rho, VelocityField("zero"), cfg)
         assert series.times[0] == 0.0
         assert series.norms_sq[0] == pytest.approx(l2_norm_sq(rho), rel=1e-14)
         assert series.dissipation[0] == 0.0
@@ -216,7 +217,7 @@ class TestRun:
     def test_final_step_recorded(self, box64):
         rho = fourier_mode(box64, 1, 1)
         cfg = SolverConfig(kappa=0.05, dt=1e-2, t_end=0.25, record_every=7)
-        series = run(rho, VelocityField.zero(), cfg)
+        series = run(rho, VelocityField("zero"), cfg)
         assert series.times[-1] == pytest.approx(0.25)
         # interior samples spaced record_every * dt
         assert np.allclose(np.diff(series.times[:-1]), 0.07)
@@ -269,19 +270,19 @@ class TestRun:
         values = fourier_mode(box, 1, 1).values.copy()
         values[3, 5] = bad
         with pytest.raises(ConfigError, match="rho0 must be finite"):
-            run(ScalarField(box, values), VelocityField.zero(),
+            run(ScalarField(box, values), VelocityField("zero"),
                 SolverConfig(kappa=0.1, dt=1e-2, t_end=0.1))
 
     def test_requires_mean_zero_input(self, box64):
         cfg = SolverConfig(kappa=0.1, dt=1e-2, t_end=0.1)
         with pytest.raises(ConfigError):
-            run(ScalarField(box64, np.ones((64, 64))), VelocityField.zero(), cfg)
+            run(ScalarField(box64, np.ones((64, 64))), VelocityField("zero"), cfg)
 
     def test_accepts_mean_zero_values_without_projection(self, box64):
         # mean-zero by symmetry, built without mean_zero_project
         rho = ScalarField(box64, fourier_mode(box64).values.copy())
         cfg = SolverConfig(kappa=0.1, dt=1e-2, t_end=0.1)
-        series = run(rho, VelocityField.zero(), cfg)
+        series = run(rho, VelocityField("zero"), cfg)
         assert series.norms_sq[0] == l2_norm_sq(rho)
 
 
@@ -296,7 +297,7 @@ class TestEnergyIdentity:
     def test_pure_diffusion(self, box128):
         rho = fourier_mode(box128, 1, 1)
         cfg = SolverConfig(kappa=0.01, dt=1e-3, t_end=1.0, record_every=10)
-        err = self._identity_error(run(rho, VelocityField.zero(), cfg))
+        err = self._identity_error(run(rho, VelocityField("zero"), cfg))
         print(f"\nenergy identity (u=0) rel error: {err:.2e}")
         assert err < 1e-2
 
@@ -318,7 +319,7 @@ class TestRefinement:
             box = DomainBox(1.0, 1.0, n, n)
             rho = fourier_mode(box, 1, 1)
             cfg = SolverConfig(kappa=kappa, dt=dt, t_end=t_end, record_every=10)
-            series = run(rho, VelocityField.zero(), cfg)
+            series = run(rho, VelocityField("zero"), cfg)
             exact = np.exp(-2 * kappa * MODE_EIGENVALUE * t_end) * series.norms_sq[0]
             errs.append(abs(series.norms_sq[-1] - exact))
         print(f"\nrefinement errors: {errs[0]:.3e} -> {errs[1]:.3e} "
@@ -331,7 +332,7 @@ class TestUpwindBackend:
         rho = fourier_mode(box64, 1, 1)
         cfg = SolverConfig(kappa=0.01, dt=0.02, t_end=1.0, scheme="upwind",
                            record_every=5)
-        series = run(rho, VelocityField.zero(), cfg)
+        series = run(rho, VelocityField("zero"), cfg)
         rate = np.log(series.norms_sq[0] / series.norms_sq[-1]) / series.times[-1]
         assert rate == pytest.approx(2 * 0.01 * MODE_EIGENVALUE, rel=2e-2)
 
@@ -412,7 +413,7 @@ class TestInstability:
         monkeypatch.setattr(solver_mod, "_step_map", scaled_identity(11.0))
         cfg = SolverConfig(kappa=0.01, dt=0.01, t_end=1.0)
         with pytest.raises(InstabilityError) as err:
-            run(fourier_mode(box64, 4, 4), VelocityField.zero(), cfg)
+            run(fourier_mode(box64, 4, 4), VelocityField("zero"), cfg)
         assert err.value.time == pytest.approx(cfg.dt)
         assert "in one step" in str(err.value)
 
@@ -422,7 +423,7 @@ class TestInstability:
         monkeypatch.setattr(solver_mod, "_step_map", scaled_identity(1.5))
         cfg = SolverConfig(kappa=0.01, dt=0.01, t_end=0.2, record_every=20)
         with pytest.raises(InstabilityError, match="exceeded 100x the initial value") as err:
-            run(fourier_mode(DomainBox(1.0, 1.0, 16, 16)), VelocityField.zero(), cfg)
+            run(fourier_mode(DomainBox(1.0, 1.0, 16, 16)), VelocityField("zero"), cfg)
         assert err.value.time == pytest.approx(0.12)
 
 
@@ -434,7 +435,7 @@ class TestEnergyGrowth:
         monkeypatch.setattr(solver_mod, "_step_map", scaled_identity(1.01))
         cfg = SolverConfig(kappa=0.01, dt=0.01, t_end=0.5, record_every=5)
         with pytest.raises(InstabilityError) as err:
-            run(fourier_mode(box64, 1, 1), VelocityField.zero(), cfg)
+            run(fourier_mode(box64, 1, 1), VelocityField("zero"), cfg)
         assert err.value.time == pytest.approx(0.05)
 
 
@@ -462,7 +463,7 @@ class TestDecaySeries:
     def test_csv_format(self, box64):
         rho = fourier_mode(box64, 1, 1)
         cfg = SolverConfig(kappa=0.05, dt=1e-2, t_end=0.2, record_every=5)
-        text = run(rho, VelocityField.zero(), cfg).to_csv()
+        text = run(rho, VelocityField("zero"), cfg).to_csv()
         lines = text.strip().splitlines()
         assert lines[0] == "t,norm_sq,dissipation"
         assert lines[1].startswith("0.0,")

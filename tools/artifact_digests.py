@@ -54,6 +54,13 @@ CASES = {
                         "initial.terms": [[1, 1, "ss", 1.0], [2, 1, "cs", 0.5]]}),
     "pde_non_dyadic": ("pde", {**PDE, **NON_DYADIC}),
     "pde_shear": ("pde", {**PDE, "domain.family": "shear"}),
+    # amplitude 0: a stream flow that is_zero, which sl_cn never evaluates
+    "pde_stream_amplitude0": ("pde", {**PDE, "domain.amplitude": 0}),
+    # ... and the upwind matrix does, at p = 0.5 and epsilon = 0, where only
+    # amplitude 0 exempts the flow from the epsilon > 0 rule
+    "pde_upwind_amplitude0": ("pde", {**PDE, "solver.scheme": "upwind", "solver.dt": 0.002,
+                                      "solver.t_end": 0.1, "domain.amplitude": 0,
+                                      "domain.p": 0.5, "domain.epsilon": 0}),
     # hx != hy and nx != ny, every step recorded: the gradient's two axes differ
     "pde_rect": ("pde", {**PDE, "domain.nx": 32, "domain.ny": 16, "domain.Lx": 1.0,
                          "domain.Ly": 0.5, "solver.record_every": 1}),
@@ -81,6 +88,7 @@ CASES = {
     "fdr_upwind": ("fdr", {**FDR, "solver.kappa": 0.05, "solver.scheme": "upwind",
                            "solver.dt": 0.002}),
     "fdr_stream_k0": ("fdr", {**FDR, "solver.kappa": 0.0}),
+    "fdr_stream_amplitude0": ("fdr", {**FDR, "solver.kappa": 0.05, "domain.amplitude": 0}),
     "fdr_shear_k0.05": ("fdr", {**FDR, "domain.family": "shear", "solver.kappa": 0.05}),
     "fdr_zero_k0.05": ("fdr", {**FDR, "domain.family": "zero", "solver.kappa": 0.05}),
     "fdr_zero_k0": ("fdr", {**FDR, "domain.family": "zero", "solver.kappa": 0.0}),
