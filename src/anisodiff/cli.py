@@ -140,8 +140,8 @@ def cmd_sweep(cfg: RunConfig) -> dict[str, str]:
     line = np.exp(fit.intercept) * fit.kappas ** fit.slope
     return {
         "sweep.csv": fit.to_csv(),
-        "exponent_report.txt": exponent_report(cfg.params, fit),
-        "exponent_report.csv": exponent_report_csv(cfg.params, fit),
+        "exponent_report.txt": exponent_report(cfg.velocity.params, fit),
+        "exponent_report.csv": exponent_report_csv(cfg.velocity.params, fit),
         "sweep.svg": line_plot_svg(
             fit.kappas,
             [("measured rate", fit.rates, "steelblue"),

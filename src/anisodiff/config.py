@@ -104,7 +104,6 @@ class RunConfig:
 
     experiment: str
     doc: dict
-    params: AnisotropyParams
     box: DomainBox
     velocity: VelocityField
     solver: SolverConfig
@@ -180,16 +179,23 @@ def _build_launch_box(box: DomainBox, par: dict) -> DomainBox:
 
 
 def _check_nyquist(ini: dict, box: DomainBox) -> None:
-    """Every initial mode number, whatever initial.kind, at most its axis's
-    Nyquist mode: a higher mode aliases or vanishes at every cell centre."""
-    nx, ny = box.nx // 2, box.ny // 2
-    modes = [("initial.mx", ini["mx"], 1, ini["mx"]), ("initial.my", 1, ini["my"], ini["my"]),
-             ("initial.max_mode", ini["max_mode"], ini["max_mode"], ini["max_mode"])]
-    modes += [("initial.terms", term[0], term[1], term) for term in ini["terms"]]
-    for name, mx, my, given in modes:
-        if mx > nx or my > ny:
-            raise ConfigError(f"{name}: mode numbers must be <= domain.nx // 2 = {nx} along x "
-                              f"and <= domain.ny // 2 = {ny} along y, got {given!r}")
+    """Every initial mode number, whatever initial.kind, resolved on its axis:
+    a sine factor's at most n // 2, where it alternates from cell to cell,
+    and a cosine factor's at most n // 2 - 1, for at n // 2 it vanishes at
+    every cell centre; a higher mode aliases.  initial.mx and my are sine
+    factors, and a random field has cosine factors on both axes at every
+    mode up to initial.max_mode."""
+    half_x, half_y = box.nx // 2, box.ny // 2
+    modes = [("initial.mx", ini["mx"], 1, "ss", ini["mx"]),
+             ("initial.my", 1, ini["my"], "ss", ini["my"]),
+             ("initial.max_mode", ini["max_mode"], ini["max_mode"], "cc", ini["max_mode"])]
+    modes += [("initial.terms", term[0], term[1], term[2], term) for term in ini["terms"]]
+    for name, mx, my, kind, given in modes:
+        bx, by = half_x - (kind[0] == "c"), half_y - (kind[1] == "c")
+        if mx > bx or my > by:
+            raise ConfigError(f"{name}: mode numbers must be <= {bx} along x and <= {by} along "
+                              f"y, got {given!r} (a sine factor's <= n // 2, a cosine "
+                              f"factor's <= n // 2 - 1)")
 
 
 def build_config(doc: dict) -> RunConfig:
@@ -210,15 +216,11 @@ def build_config(doc: dict) -> RunConfig:
         ini["terms"] = [[_integer(mx, "initial.terms"), _integer(my, "initial.terms"),
                          kind, _real(amp, "initial.terms")]
                         for mx, my, kind, amp in fourier_terms(ini["terms"])]
-        params = AnisotropyParams(p=dom["p"], q=dom["q"])
+        velocity = VelocityField(dom["family"], AnisotropyParams(p=dom["p"], q=dom["q"]),
+                                 float(dom["amplitude"]), float(dom["epsilon"]))
         box = DomainBox(half_width_x=float(dom["Lx"]), half_width_y=float(dom["Ly"]),
                         nx=dom["nx"], ny=dom["ny"])
         _check_nyquist(ini, box)
-        if dom["family"] == "constant":
-            raise ConfigError("domain.family: 'constant' is a library flow with no config "
-                              "fields; use stream, shear or zero")
-        velocity = VelocityField(dom["family"], params, float(dom["amplitude"]),
-                                 float(dom["epsilon"]))
         solver = SolverConfig(kappa=float(sol["kappa"]), dt=float(sol["dt"]),
                               t_end=float(sol["t_end"]), scheme=sol["scheme"],
                               record_every=sol["record_every"])
@@ -236,9 +238,8 @@ def build_config(doc: dict) -> RunConfig:
         initial = _build_initial(ini, box)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: malformed numeric field ({exc})") from exc
-    return RunConfig(experiment=experiment, doc=doc, params=params, box=box,
-                     velocity=velocity, solver=solver, initial=initial,
-                     launch_box=launch_box)
+    return RunConfig(experiment=experiment, doc=doc, box=box, velocity=velocity,
+                     solver=solver, initial=initial, launch_box=launch_box)
 
 
 def load_config(path: str | Path | None = None, overrides=(),

@@ -1,8 +1,9 @@
 """Anisotropic geometry and divergence-free velocity fields.
 
-The domain is a periodic box [-Lx, Lx) x [-Ly, Ly).  Velocity fields are
-built from a stream function psi(x, y) = A * f(x) * g(y), where f and g
-are `profile` with the anisotropy exponents p and q:
+The domain is a periodic box [-Lx, Lx) x [-Ly, Ly).  A velocity field is
+one of the three families a config's domain.family names: the stream flow
+of psi(x, y) = A * f(x) * g(y), the shear flow (A * g(y), 0) and the zero
+flow, where f and g are `profile` with the anisotropy exponents p and q:
 
     f(x) = (x^2 + eps^2)^(p/2),    g(y) = (y^2 + eps^2)^(q/2)
 
@@ -174,10 +175,9 @@ def _profile_and_slope(s, exponent: float, epsilon: float):
 class VelocityField:
     """Incompressible 2-D velocity field with closed-form components.
 
-    Families:
+    Families, the values of a config's domain.family:
       * ``stream``:   u = (dpsi/dy, -dpsi/dx), psi = A * f(x) * g(y).
       * ``shear``:    u = (A * g(y), 0), the classical shear comparison.
-      * ``constant``: u = (cx, cy), the solver tests' translation reference.
       * ``zero``:     u = 0, pure-diffusion runs.
 
     The constructor states every flow rule.  A stream flow with nonzero
@@ -192,12 +192,10 @@ class VelocityField:
     params: AnisotropyParams | None = None
     amplitude: float = 1.0
     epsilon: float = 0.0
-    constant: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.family not in ("stream", "shear", "constant", "zero"):
-            raise ConfigError(f"domain.family: must be stream, shear, constant or zero, "
-                              f"got {self.family!r}")
+        if self.family not in ("stream", "shear", "zero"):
+            raise ConfigError(f"domain.family: must be stream, shear or zero, got {self.family!r}")
         if not self.epsilon >= 0:
             raise ConfigError(f"domain.epsilon: must be >= 0, got {self.epsilon}")
         if self.family in ("stream", "shear"):
@@ -212,11 +210,7 @@ class VelocityField:
 
     @property
     def is_zero(self) -> bool:
-        if self.family == "zero":
-            return True
-        if self.family == "constant":
-            return self.constant == (0.0, 0.0)
-        return self.amplitude == 0.0
+        return self.family == "zero" or self.amplitude == 0.0
 
     def velocity(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """Component arrays (u_x, u_y) at the given coordinates, new arrays
@@ -225,9 +219,6 @@ class VelocityField:
         y = np.asarray(y, dtype=float)
         if self.family == "zero":
             return np.zeros_like(x), np.zeros_like(y)
-        if self.family == "constant":
-            cx, cy = self.constant
-            return np.full_like(x, cx), np.full_like(y, cy)
         eps = self.epsilon
         a = self.amplitude
         if self.family == "shear":
@@ -264,7 +255,7 @@ def divergence_residual(field: VelocityField, box: DomainBox) -> float:
     The stencil evaluates the analytic components at x +/- hx and
     y +/- hy directly (the field extends smoothly past the box edge),
     so the residual measures how far the construction is from exact
-    incompressibility: O(h^2) for smooth fields, 0 for constants.
+    incompressibility: O(h^2) for smooth fields, 0 for shear and zero.
     """
     xg, yg = box.grid()
     hx, hy = box.hx, box.hy

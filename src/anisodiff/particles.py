@@ -224,7 +224,7 @@ class VarianceMap:
 
     box: DomainBox
     values: np.ndarray
-    var_of_var: np.ndarray | None = dc_field(default=None, repr=False)
+    var_of_var: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -241,8 +241,6 @@ def variance_integral(vmap: VarianceMap) -> float:
 
 def variance_integral_stderr(vmap: VarianceMap) -> float:
     """Monte Carlo standard error of variance_integral (delta method)."""
-    if vmap.var_of_var is None:
-        raise ConfigError("variance map: no var_of_var data attached")
     return float(np.sqrt(np.sum(vmap.var_of_var)) * vmap.box.hx * vmap.box.hy)
 
 

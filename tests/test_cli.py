@@ -634,6 +634,13 @@ BAD_CONFIGS = [
              'initial.terms=[[9,1,"cs",1.0]]'], "initial.terms"),
     ("pde", ["domain.nx=16", "domain.ny=8", "initial.kind=sum",
              'initial.terms=[[1,1,"ss",1.0],[8,5,"ss",1.0]]'], "initial.terms"),
+    # a cosine factor at its axis's Nyquist mode vanishes at every cell centre
+    ("pde", ["domain.nx=16", "domain.ny=8", "initial.kind=sum",
+             'initial.terms=[[8,4,"cs",1.0]]'], "initial.terms"),
+    ("pde", ["domain.nx=16", "domain.ny=8", "initial.kind=sum",
+             'initial.terms=[[1,4,"sc",1.0]]'], "initial.terms"),
+    ("pde", ["domain.nx=16", "domain.ny=8", "initial.kind=random", "initial.max_mode=4"],
+     "initial.max_mode"),
     ("pde", ["initial.my=0"], "initial.my"),
     ("pde", ["solver.t_end=1", "solver.record_every=1", "solver.dt=0.3"], "solver.t_end"),
     ("pde", ["solver.t_end=1", "solver.record_every=1", "solver.dt=0.4"], "solver.t_end"),
@@ -749,11 +756,13 @@ def test_integral_float_reads_as_integer(tmp_path):
 
 
 def test_max_mode_up_to_the_nyquist_mode_runs(tmp_path):
-    # min(nx, ny) // 2 = 4 on a 16 x 8 grid: the highest mode the grid resolves;
-    # each axis's own bound, nx // 2 = 8 along x, holds the other mode numbers
+    # a random field has cosine factors on both axes, resolved up to
+    # min(nx, ny) // 2 - 1 = 3 on a 16 x 8 grid; the sine factors of mx, my and
+    # an ss term reach each axis's own Nyquist mode, nx // 2 = 8 and ny // 2 = 4,
+    # and a cc term's cosines one mode less
     out = tmp_path / "sde"
     assert main(["sde", "--config", write_config(tmp_path, MANIFEST_CASES["sde"]),
                  "--out", str(out), "--set", "initial.kind=random", "--set", "domain.nx=16",
-                 "--set", "domain.ny=8", "--set", "initial.max_mode=4",
+                 "--set", "domain.ny=8", "--set", "initial.max_mode=3",
                  "--set", "initial.mx=8", "--set", "initial.my=4",
-                 "--set", 'initial.terms=[[8,4,"ss",1.0]]']) == 0
+                 "--set", 'initial.terms=[[8,4,"ss",1.0],[7,3,"cc",1.0]]']) == 0

@@ -8,6 +8,7 @@ from anisodiff.domain import (AnisotropyParams, DomainBox, VelocityField,
                               profile)
 from anisodiff.config import load_config
 from anisodiff.errors import ConfigError
+from conftest import ConstantFlow
 
 
 class TestScalingFunctions:
@@ -269,7 +270,7 @@ def test_epsilon_rule_however_a_stream_flow_is_built(build):
 class TestDivergenceResidual:
     def test_constant_field_exact_zero(self):
         box = DomainBox(1.0, 1.0, 32, 32)
-        vel = VelocityField("constant", constant=(1.3, -0.4))
+        vel = ConstantFlow(1.3, -0.4)
         assert divergence_residual(vel, box) == 0.0
 
     def test_shear_field_zero(self):

@@ -12,6 +12,7 @@ from anisodiff.particles import (_substream, endpoints, feynman_kac,
                                  variance_integral, variance_integral_stderr,
                                  VarianceMap)
 from anisodiff.solver import SolverConfig, run
+from conftest import ConstantFlow
 
 MODE_EIGENVALUE = 2.0 * np.pi ** 2
 THREADS, PROCESSES = "ThreadPoolExecutor", "ProcessPoolExecutor"
@@ -32,8 +33,7 @@ class TestSdeStep:
     def test_constant_drift_backward_shift(self, box64):
         # backward trajectories shift by -c t for a constant field
         c, t = 0.4, 0.75
-        x, y = endpoints(box64, VelocityField("constant", constant=(c, 0.0)), 0.1, 0.0, t,
-                         0.0, 50, t / 30, seed=2)
+        x, y = endpoints(box64, ConstantFlow(c, 0.0), 0.1, 0.0, t, 0.0, 50, t / 30, seed=2)
         assert np.allclose(box64.wrap_x(x - 0.1), -c * t, atol=1e-12)
         assert np.allclose(box64.wrap_y(y - 0.0), 0.0, atol=1e-12)
 
@@ -50,7 +50,7 @@ class TestSdeStep:
             assert abs(np.var(d, ddof=1) - target) < 3 * se_var
 
     def test_positions_stay_wrapped(self, box64):
-        vel = VelocityField("constant", constant=(2.0, -3.0))
+        vel = ConstantFlow(2.0, -3.0)
         x, y = endpoints(box64, vel, 0.9, 0.9, 2.0, 0.5, 500, 2.0 / 40, seed=4)
         assert np.all(x >= -1.0) and np.all(x < 1.0)
         assert np.all(y >= -1.0) and np.all(y < 1.0)
@@ -138,7 +138,7 @@ STEP_FIELDS = {
     "stream23": make_velocity(AnisotropyParams(p=2, q=3), 0.7, 1e-3),
     "stream1.5_1": make_velocity(AnisotropyParams(p=1.5, q=1), 0.7, 1e-2),
     "shear": VelocityField("shear", AnisotropyParams(p=2, q=3), 0.7),
-    "constant": VelocityField("constant", constant=(0.3, -2.9)),
+    "constant": ConstantFlow(0.3, -2.9),
     "zero": VelocityField("zero"),
 }
 
@@ -313,7 +313,7 @@ class TestTwoPointLaw:
     """A drifted field's increments are fair signs times sig = sqrt(2 kappa ds),
     independent per axis: the simplified weak Euler scheme."""
 
-    FIELD = VelocityField("constant", constant=(0.3, -0.2))
+    FIELD = ConstantFlow(0.3, -0.2)
     KAPPA, T = 0.45, 0.1
 
     def test_one_step_displacements_are_fair_signs(self, box64):
@@ -557,19 +557,30 @@ class TestZeroKappa:
 class TestVarianceIntegral:
     def test_zero_map(self):
         box = DomainBox(1.0, 1.0, 8, 8)
-        assert variance_integral(VarianceMap(box, np.zeros((8, 8)))) == 0.0
+        assert variance_integral(VarianceMap(box, np.zeros((8, 8)), np.zeros((8, 8)))) == 0.0
 
     def test_constant_map_times_area(self):
         box = DomainBox(1.0, 1.0, 8, 8)
-        vmap = VarianceMap(box, np.full((8, 8), 0.7))
+        vmap = VarianceMap(box, np.full((8, 8), 0.7), np.zeros((8, 8)))
         assert variance_integral(vmap) == pytest.approx(0.7 * 4.0, rel=1e-12)
 
     def test_negative_values_rejected(self):
         box = DomainBox(1.0, 1.0, 8, 8)
         with pytest.raises(ConfigError):
-            VarianceMap(box, np.full((8, 8), -1.0))
+            VarianceMap(box, np.full((8, 8), -1.0), np.zeros((8, 8)))
 
-    def test_stderr_requires_moment_data(self):
-        box = DomainBox(1.0, 1.0, 8, 8)
-        with pytest.raises(ConfigError):
-            variance_integral_stderr(VarianceMap(box, np.zeros((8, 8))))
+
+@pytest.mark.parametrize("a", [2.0, 0.25])
+def test_amplitude_time_scaling_keeps_the_moments_bits(params23, a):
+    # t / A, kappa A and ds / A leave the drift -A u ds and the noise
+    # sqrt(2 kappa ds) of every step unchanged, bit for bit for A a power of 2
+    rho = random_fourier_sum(DomainBox(1.0, 1.0, 32, 32), seed=0)
+    launch = DomainBox(1.0, 1.0, 8, 8)
+
+    def moments_at(amp):
+        mean, vmap = feynman_kac(rho, make_velocity(params23, amp, 1e-3), 0.2 / amp,
+                                 0.05 * amp, 200, 0.01 / amp, seed=3, launch_box=launch)
+        return mean.values, vmap.values, vmap.var_of_var
+
+    for scaled, one in zip(moments_at(a), moments_at(1.0)):
+        assert np.array_equal(scaled, one)

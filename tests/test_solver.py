@@ -9,7 +9,9 @@ from anisodiff.errors import ConfigError, InstabilityError
 from anisodiff.fields import (ScalarField, bilinear_matrix, fourier_mode, l2_norm_sq,
                               mean_zero_project, random_fourier_sum, sample_many)
 from anisodiff import solver as solver_mod
+from anisodiff.analysis import fit_decay
 from anisodiff.solver import DecaySeries, SolverConfig, run
+from conftest import ConstantFlow
 
 MODE_EIGENVALUE = 2.0 * np.pi ** 2  # |k|^2 of sin(pi x) sin(pi y) on [-1,1)^2
 
@@ -66,7 +68,7 @@ class TestConfigValidation:
         dt = 0.9 * h * h / (4 * kappa)
         cfg = SolverConfig(kappa=kappa, dt=dt, t_end=200 * dt, scheme="upwind",
                            record_every=1)
-        vel = VelocityField("constant", constant=(c, c))
+        vel = ConstantFlow(c, c)
         with pytest.raises(ConfigError, match="solver.dt") as err:
             run(fourier_mode(box, 4, 4), vel, cfg)
         assert f"needs dt <= {dt / 2.7:.3e}" in str(err.value)
@@ -140,7 +142,7 @@ class TestSemiLagrangianAdvection:
         cx = 2 * box64.hx / dt
         cy = 1 * box64.hy / dt
         cfg = SolverConfig(kappa=0.0, dt=dt, t_end=1.0)
-        out = one_step(rho, VelocityField("constant", constant=(cx, cy)), cfg)
+        out = one_step(rho, ConstantFlow(cx, cy), cfg)
         assert np.allclose(out.values, np.roll(rho.values, (2, 1), axis=(0, 1)),
                            atol=1e-12)
         assert l2_norm_sq(out) == pytest.approx(l2_norm_sq(rho), rel=1e-12)
@@ -148,7 +150,7 @@ class TestSemiLagrangianAdvection:
     def test_generic_translation_small_loss(self, box64):
         rho = fourier_mode(box64, 1, 1)
         cfg = SolverConfig(kappa=0.0, dt=0.1, t_end=1.0)
-        vel = VelocityField("constant", constant=(0.37 * box64.hx / 0.1, 0.0))
+        vel = ConstantFlow(0.37 * box64.hx / 0.1, 0.0)
         out = one_step(rho, vel, cfg)
         ratio = l2_norm_sq(out) / l2_norm_sq(rho)
         assert 0.995 <= ratio <= 1.0 + 1e-12
@@ -468,3 +470,29 @@ class TestDecaySeries:
         assert lines[0] == "t,norm_sq,dissipation"
         assert lines[1].startswith("0.0,")
         assert len(lines) == 1 + 5  # t=0 plus 4 records
+
+
+class TestAmplitudeTimeScaling:
+    """s = A t turns rho_t + A u.grad rho = kappa lap rho into the A = 1
+    equation at kappa / A.  Both step maps are built from u dt and kappa dt,
+    so for A a power of 2 the run at (A, kappa A, dt / A, t_end / A) has the
+    bits of the A = 1 run at (kappa, dt, t_end)."""
+
+    @pytest.mark.parametrize("scheme,dt,t_end,a", [
+        ("sl_cn", 0.05, 2.0, 2.0), ("sl_cn", 0.05, 2.0, 0.5), ("sl_cn", 0.05, 2.0, 4.0),
+        ("upwind", 0.004, 0.4, 2.0), ("upwind", 0.004, 0.4, 0.5)])
+    def test_run_keeps_its_bits(self, box64, params23, scheme, dt, t_end, a):
+        rho = random_fourier_sum(box64, seed=0)
+
+        def run_at(amp):
+            cfg = SolverConfig(kappa=0.01 * amp, dt=dt / amp, t_end=t_end / amp,
+                               scheme=scheme, record_every=1)
+            return run(rho, make_velocity(params23, amp, 1e-3), cfg)
+
+        one, scaled = run_at(1.0), run_at(a)
+        assert np.array_equal(scaled.times * a, one.times)
+        assert np.array_equal(scaled.norms_sq, one.norms_sq)
+        assert np.array_equal(scaled.dissipation, one.dissipation)
+        assert np.array_equal(scaled.final_state.values, one.final_state.values)
+        if scheme == "sl_cn":
+            assert fit_decay(scaled).rate / a == fit_decay(one).rate

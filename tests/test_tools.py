@@ -47,6 +47,12 @@ def test_artifact_digests_failed_sweep_cases():
     assert tool.case_digests("sweep_one_short_t_end") == ["sweep_one_short_t_end 3 - -"]
 
 
+def test_artifact_digests_nyquist_cosine_case_exits_2():
+    # a cosine factor at its axis's Nyquist mode is refused before any output
+    tool = load_tool()
+    assert tool.case_digests("pde_sum_nyquist_cosine") == ["pde_sum_nyquist_cosine 2 - -"]
+
+
 def test_public_names_resolve():
     missing = [name for name in anisodiff.__all__ if not hasattr(anisodiff, name)]
     assert missing == []

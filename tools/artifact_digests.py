@@ -52,6 +52,12 @@ CASES = {
                            "initial.seed": 4}),
     "pde_sum": ("pde", {**PDE, "initial.kind": "sum",
                         "initial.terms": [[1, 1, "ss", 1.0], [2, 1, "cs", 0.5]]}),
+    # a sine factor at each axis's Nyquist mode alternates from cell to cell ...
+    "pde_sum_nyquist_sine": ("pde", {**PDE, "initial.kind": "sum",
+                                     "initial.terms": [[16, 16, "ss", 1.0]]}),
+    # ... and a cosine factor there vanishes at every cell centre: exit 2
+    "pde_sum_nyquist_cosine": ("pde", {**PDE, "initial.kind": "sum",
+                                       "initial.terms": [[16, 1, "cs", 1.0]]}),
     "pde_non_dyadic": ("pde", {**PDE, **NON_DYADIC}),
     "pde_shear": ("pde", {**PDE, "domain.family": "shear"}),
     # amplitude 0: a stream flow that is_zero, which sl_cn never evaluates
