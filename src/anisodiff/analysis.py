@@ -20,7 +20,6 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import particles
 from .domain import AnisotropyParams, VelocityField
@@ -210,6 +209,9 @@ def fit_power_law(kappas, rates) -> tuple[float, float, float, float]:
             raise ConfigError(f"power fit: {name} must be finite")
     if np.any(kappas <= 0) or np.any(rates <= 0):
         raise ConfigError("power fit: kappas and rates must be positive")
+    # imported here, not at module level: only a sweep's fit needs scipy.special
+    from scipy.special import stdtrit
+
     slope, intercept, r, stderr = _linregress(np.log(kappas), np.log(rates))
     tcrit = float(stdtrit(kappas.size - 2, 0.975))
     stderr = float(stderr) if np.isfinite(stderr) else 0.0

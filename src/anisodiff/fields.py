@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-from scipy import sparse
 
 from .domain import DomainBox
 from .errors import ConfigError
@@ -132,6 +131,10 @@ def stencil_matrix(box: DomainBox, i, j, offsets, weights) -> sparse.csr_matrix:
     """CSR matrix on the flattened grid whose row r holds weights[r, k] at cell
     (i[r] + di, j[r] + dj) mod the grid for the k-th offset (di, dj); a
     matvec sums each row in offset order."""
+    # imported here, not at module level: only a drifted or upwind step
+    # needs scipy.sparse, and importing it takes about 0.2 s
+    from scipy import sparse
+
     rows, k = weights.shape
     cols = np.empty((rows, k), dtype=np.int32)
     for col, (di, dj) in zip(cols.T, offsets):

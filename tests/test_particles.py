@@ -554,6 +554,28 @@ class TestZeroKappa:
         assert np.array_equal(vmap.var_of_var, np.zeros_like(w))
 
 
+@pytest.mark.parametrize("family", ["zero", "stream"])
+def test_moments_match_the_endpoint_oracle(params23, family):
+    # launch point 0's moments, recomputed from the endpoints that point draws:
+    # the mean and unbiased variance keep their bits, and var_of_var is the
+    # delta-method formula, m4 / n - m2^2 (n - 3) / (n (n - 1)) with central
+    # moments m2 and m4, to rounding
+    rho = random_fourier_sum(DomainBox(1.0, 1.0, 32, 32), seed=2)
+    launch = DomainBox(1.0, 1.0, 8, 8)
+    vel = VelocityField("zero") if family == "zero" else make_velocity(params23, 0.5, 1e-3)
+    n, t, ds, kappa, seed = 400, 0.3, 0.02, 0.05, 11
+    mean, vmap = feynman_kac(rho, vel, t, kappa, n, ds, seed, launch_box=launch)
+    x, y = endpoints(launch, vel, launch.x_centers()[0], launch.y_centers()[0],
+                     t, kappa, n, ds, seed)
+    w = sample_many(rho, x, y)
+    m2, m4 = w.var(), np.mean((w - w.mean()) ** 4)
+    expect = m4 / n - m2 * m2 * (n - 3) / (n * (n - 1))
+    assert mean.values[0, 0] == w.mean()
+    assert vmap.values[0, 0] == m2 * n / (n - 1)
+    assert expect > 0.0
+    assert abs(vmap.var_of_var[0, 0] - expect) <= 1e-13 * expect
+
+
 class TestVarianceIntegral:
     def test_zero_map(self):
         box = DomainBox(1.0, 1.0, 8, 8)

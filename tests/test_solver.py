@@ -496,3 +496,35 @@ class TestAmplitudeTimeScaling:
         assert np.array_equal(scaled.final_state.values, one.final_state.values)
         if scheme == "sl_cn":
             assert fit_decay(scaled).rate / a == fit_decay(one).rate
+
+
+BOTH, X_ONLY, Y_ONLY = np.s_[::-1, ::-1], np.s_[::-1, :], np.s_[:, ::-1]
+
+
+class TestMirrorSymmetry:
+    """f and g are even, so the stream flow is odd, u(-z) = -u(z): the run from
+    rho0(-z) is the point reflection of the run from rho0.  The shear flow
+    (A g(y), 0) keeps y -> -y only.  The cell centres of the box are exactly
+    symmetric about 0, so the reflected runs differ only in the order of
+    their sums; a mirror that is no symmetry of the flow moves the field by
+    O(max|rho|)."""
+
+    @pytest.mark.parametrize("scheme,dt,t_end", [("sl_cn", 0.05, 2.0), ("upwind", 0.004, 0.4)])
+    @pytest.mark.parametrize("family,mirror,others", [
+        ("stream", BOTH, (X_ONLY, Y_ONLY)), ("shear", Y_ONLY, (BOTH, X_ONLY))])
+    def test_reflected_start_gives_the_reflected_run(self, box64, params23, family,
+                                                     mirror, others, scheme, dt, t_end):
+        rho = random_fourier_sum(box64, seed=0)
+        vel = VelocityField(family, params23, 1.0, 1e-3)
+        cfg = SolverConfig(kappa=0.01, dt=dt, t_end=t_end, scheme=scheme, record_every=1)
+        one = run(rho, vel, cfg)
+        scale = np.max(np.abs(one.final_state.values))
+
+        def reflected_gap(flip):
+            other = run(ScalarField(box64, rho.values[flip]), vel, cfg)
+            gap = np.max(np.abs(other.final_state.values[flip] - one.final_state.values))
+            return gap / scale, np.max(np.abs(other.norms_sq / one.norms_sq - 1.0))
+
+        assert max(reflected_gap(mirror)) <= 1e-12
+        for flip in others:
+            assert reflected_gap(flip)[0] > 0.1

@@ -58,14 +58,38 @@ def test_public_names_resolve():
     assert missing == []
 
 
-def test_cli_import_loads_no_scipy_stats():
-    # importing scipy.stats costs every command more than the rest of its imports
-    code = ("import sys, anisodiff.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+COLD_START = """
+import sys
+from anisodiff.cli import main
+
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] in (["scipy", "sparse"], ["scipy", "special"],
+                                          ["scipy", "stats"]))
+
+
+out = sys.argv[1]
+small = ["--set", "domain.nx=32", "--set", "domain.ny=32", "--set", "solver.dt=0.01"]
+print(loaded())
+print(main(["fdr", "--out", out + "/fdr", "--set", "domain.family=zero",
+            "--set", "particles.n=100", "--set", "particles.times=[0.5]",
+            "--set", "particles.grid_nx=8", "--set", "particles.grid_ny=8", *small]), loaded())
+print(main(["pde", "--out", out + "/pde", "--set", "solver.t_end=0.1", *small]),
+      "scipy.sparse" in sys.modules)
+"""
+
+
+def test_cli_import_loads_no_scipy_stats(tmp_path):
+    # importing scipy.stats costs every command more than the rest of its
+    # imports, and scipy.sparse and scipy.special together cost about 0.25 s.
+    # Only a drifted or upwind step needs sparse and only a sweep's fit needs
+    # special, so neither the import nor a zero-field fdr run loads any of the
+    # three; a stream pde run then loads sparse.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "0 []", "0 True"]
 
 
 def test_benchmark_span_targets_resolve():
