@@ -271,7 +271,8 @@ def sweep_and_fit(kappas, rho0: ScalarField, velocity: VelocityField,
     a multi-decade sweep.
     """
     runs = check_sweep(kappas, base_cfg, dts, t_ends)
-    with ProcessPoolExecutor(max_workers=min(particles._cpu_count(), len(runs))) as pool:
+    with ProcessPoolExecutor(max_workers=min(particles._cpu_count(), len(runs)),
+                             mp_context=particles._pool_context()) as pool:
         futures = [pool.submit(_sweep_one, rho0, velocity, cfg, window) for cfg in runs]
         for cfg, fut in zip(runs, futures):
             if (exc := fut.exception()) is not None:

@@ -13,6 +13,11 @@ stay bounded for exponents below 2.
 
 Errors name the config fields a user sets (domain.Lx for half_width_x);
 VelocityField's constructor is the one place that states the flow rules.
+
+The velocity, the profiles and the in-place fold keep a float32 array in
+float32, the precision the particles step in (see particles); every other
+input, float64 arrays, Python scalars and integer arrays alike, is
+evaluated in float64.
 """
 from __future__ import annotations
 
@@ -102,7 +107,8 @@ def _wrap_in_place(s: np.ndarray, half: float) -> np.ndarray:
     remainder adds the period once to a negative fmod.  The range check
     fails for NaN and inf, so they take the remainder too.
     """
-    period = 2.0 * half
+    half = s.dtype.type(half)   # the constants in s's own precision
+    period = 2 * half
     s += half
     # NaN bounds fail the range check, so 0-d and empty arrays take the remainder
     lo, hi = (s.min(), s.max()) if s.ndim and s.size else (np.nan, np.nan)
@@ -117,16 +123,23 @@ def _wrap_in_place(s: np.ndarray, half: float) -> np.ndarray:
     return s
 
 
+def _float_array(a) -> np.ndarray:
+    """a as a float array: a float32 array as it is, anything else as
+    float64 (np.asarray(a, dtype=float))."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(float, copy=False)
+
+
 def _pow_half(base, half_exponent: float):
     """(base)^(half_exponent) for base >= 0.  Exponent 1 returns base
     uncopied and 3/2 is base * sqrt(base); every other exponent takes the **
     operator, which is numpy's sqrt at 1/2 and its square at 2."""
     e = float(half_exponent)
     if e == 1.0:
-        return np.asarray(base, dtype=float)
+        return _float_array(base)
     if e == 1.5:
         return base * np.sqrt(base)
-    return np.asarray(base, dtype=float) ** e
+    return _float_array(base) ** e
 
 
 def profile(s, exponent: float, epsilon: float = 0.0):
@@ -137,7 +150,7 @@ def profile(s, exponent: float, epsilon: float = 0.0):
     """
     if epsilon < 0:
         raise ConfigError(f"domain.epsilon: must be >= 0, got {epsilon}")
-    s = np.asarray(s, dtype=float)
+    s = _float_array(s)
     return _pow_half(s * s + epsilon * epsilon, exponent / 2.0)
 
 
@@ -214,20 +227,22 @@ class VelocityField:
 
     def velocity(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """Component arrays (u_x, u_y) at the given coordinates, new arrays
-        that the caller may overwrite."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        that the caller may overwrite: float32 for float32 coordinates,
+        float64 for any other."""
+        x = _float_array(x)
+        y = _float_array(y)
         if self.family == "zero":
             return np.zeros_like(x), np.zeros_like(y)
-        eps = self.epsilon
-        a = self.amplitude
+        # Python floats take the arrays' precision (NEP 50); numpy scalars would not
+        eps = float(self.epsilon)
+        a = float(self.amplitude)
         if self.family == "shear":
-            return a * profile(y, self.params.q, eps), np.zeros_like(y)
+            return a * profile(y, float(self.params.q), eps), np.zeros_like(y)
         # stream family: u = (psi_y, -psi_x) = (a * f * g', -a * f' * g)
         if x.shape != y.shape:
             x, y = np.broadcast_arrays(x, y)
-        ux, dfx = _profile_and_slope(x, self.params.p, eps)
-        gy, dgy = _profile_and_slope(y, self.params.q, eps)
+        ux, dfx = _profile_and_slope(x, float(self.params.p), eps)
+        gy, dgy = _profile_and_slope(y, float(self.params.q), eps)
         ux *= a
         ux *= dgy
         dfx *= -a

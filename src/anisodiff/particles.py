@@ -28,6 +28,29 @@ follow from the law, and are reported rather than hidden:
 - a drifted run with one step has only four endpoint positions per
   launch point.
 
+A drifted run with kappa > 0 steps in float32 (positions, the noise block,
+sig, ds, the velocity, the drift and the fold) when the rounding its paths
+can accumulate is far below the diffusion length, by the precision rule
+
+    4 m eps32 max(Lx, Ly) <= 1e-3 sqrt(2 kappa t),    eps32 = 2**-23,
+
+and in float64 otherwise (_step_dtype), as are the zero field's exact step
+and kappa = 0, the noise-free oracle.  The endpoints, rho0's sampling and
+the moments are float64.  The left side bounds what a step rounds, values
+being within a period of the box: subtracting the drift and adding the
+noise, half an ulp of a value within L each, eps32 L / 2; shifting by +L
+and adding the period, values below 2L, eps32 L each (subtracting the
+period is exact); shifting back, eps32 L / 2.  That is 3.5 eps32 L, and
+the fourth eps32 L covers the drift's own rounding, a few eps32 |u| ds,
+and the launch point and sig, rounded once.  It counts the rounding, not
+its growth along the flow.  Criterion 7's run (m = 200, L = 1,
+sqrt(2 kappa t) = 0.224) is inside the rule.  On its 16 x 16 launch grid,
+against float64 steps from the same bits, the mean moved by at most
+2.5e-4 of its per-point standard error and the variance integral by
+4.8e-8 relative; endpoints launched away from the stream flow's seams
+at x = +-Lx and y = +-Ly moved by at most 4.4e-6.  The velocity jumps
+across a seam, so a path that meets one may move further.
+
 Each launch point draws from its own seeded SFC64 generator, keyed by
 (seed, stream, flat point index).  A point's draws therefore do not
 depend on which other points share its batch or worker, and that is why
@@ -37,17 +60,21 @@ feynman_kac computes its chunks of launch points in worker processes when
 a run takes more than one step and has more than one worker, and in worker
 threads otherwise.  A step is some thirty short numpy calls, and threads
 running them contend for the GIL; neither one exact step nor a lone worker
-repays starting processes.  Both pools are cheap only under the fork start
-method, where a worker inherits the run instead of unpickling it.  Under
-spawn or forkserver (the Linux default from Python 3.14), each call's
-processes start a fresh interpreter and import the package.
+repays starting processes.  The processes start by fork wherever the
+platform offers it, whatever its default start method (forkserver on Linux
+from Python 3.14): a worker inherits the run instead of unpickling it
+(_pool_context, which analysis.sweep_and_fit's pool shares).  Elsewhere
+they take the default method, and each call's processes start a fresh
+interpreter and import the package.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -57,9 +84,11 @@ from .fields import ScalarField, sample_many
 
 # A batch of launch points vectorized together holds at most
 # _CHUNK_TRAJECTORIES trajectories: 32 points at n = 1000 and 3 points at
-# n = 10 000, whose (3, n) arrays take 240 KB each.  A step's temporaries are
-# the velocity's two output arrays and the noise block.  In worker processes
-# on two cores, a cap of 32 000 ran faster than 80 000 at n = 10 000.
+# n = 10 000, whose (3, n) float32 arrays take 120 KB each.  A step's
+# temporaries are the velocity's two output arrays and the noise block.  In
+# worker processes on two cores, a cap of 32 000 ran faster than 80 000 at
+# n = 10 000, and with float32 steps faster than 16 000 and 64 000 there and
+# at n = 1000; 20 000 was within the spread.
 _CHUNK_TRAJECTORIES = 32_000
 
 
@@ -69,6 +98,15 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _pool_context():
+    """The start method of feynman_kac's and analysis.sweep_and_fit's worker
+    processes: fork where the platform offers it, so that a worker inherits
+    the run instead of unpickling it, and the platform's default elsewhere."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 def _substream(seed: int, stream: int, index: int) -> np.random.Generator:
@@ -109,6 +147,16 @@ def _em_step(box: DomainBox, velocity: VelocityField, x, y, ds: float,
             _wrap_in_place(y_new, box.half_width_y))
 
 
+def _step_dtype(box: DomainBox, velocity: VelocityField, m: int, sig: float):
+    """float32 for a drifted, noisy run of m steps inside the module
+    docstring's precision rule, 4 m eps32 max(Lx, Ly) <= 1e-3 sqrt(2 kappa t),
+    and float64 otherwise.  sig * sqrt(m) is sqrt(2 kappa t)."""
+    if velocity.is_zero or not sig > 0.0:
+        return np.float64
+    rounding = 4 * m * 2.0 ** -23 * max(box.half_width_x, box.half_width_y)
+    return np.float32 if rounding <= 1e-3 * sig * np.sqrt(m) else np.float64
+
+
 def time_grid(velocity: VelocityField, t: float, kappa: float, n: int,
               ds: float) -> tuple[int, float]:
     """Check a particle run's arguments; return its step count and step size.
@@ -142,11 +190,16 @@ def _trajectories(box: DomainBox, velocity: VelocityField, x0, y0, n: int,
     ceil(2n/64) raw 64-bit words from gens[k] and unpacks them little-endian
     into 2n bits, the first n for x and the next n for y; bit b gives
     b * 2 sig - sig, which is exactly -sig or +sig.
+
+    The steps run in _step_dtype's precision, with sig and ds rounded to it
+    once; the endpoints are returned in float64.
     """
+    dtype = _step_dtype(box, velocity, m, sig)
+    sig, ds = dtype(sig), dtype(ds)
     p = len(x0)
-    x = np.repeat(x0, n).reshape(p, n)
-    y = np.repeat(y0, n).reshape(p, n)
-    z = np.empty((p, 2, n))
+    x = np.repeat(x0.astype(dtype), n).reshape(p, n)
+    y = np.repeat(y0.astype(dtype), n).reshape(p, n)
+    z = np.empty((p, 2, n), dtype)
     noise = (z[:, 0], z[:, 1]) if gens else ()   # views of z, refilled each step
     flat = z.reshape(p, 2 * n)                   # a view: x's n, then y's n
     words = np.empty((p, -(-2 * n // 64)), dtype="<u8")
@@ -163,7 +216,7 @@ def _trajectories(box: DomainBox, velocity: VelocityField, x0, y0, n: int,
             np.multiply(bits, 2.0 * sig, out=flat)
             flat -= sig
         x, y = _em_step(box, velocity, x, y, ds, *noise)
-    return x, y
+    return x.astype(float, copy=False), y.astype(float, copy=False)
 
 
 def endpoints(box: DomainBox, velocity: VelocityField, x0: float, y0: float,
@@ -302,7 +355,8 @@ def feynman_kac(rho0: ScalarField, velocity: VelocityField, t: float,
     # any order on any worker.  The run reaches each worker once, through the
     # initializer; under fork it is inherited, not pickled.
     workers = min(_cpu_count(), len(starts))
-    executor = ProcessPoolExecutor if m > 1 and workers > 1 else ThreadPoolExecutor
+    executor = (partial(ProcessPoolExecutor, mp_context=_pool_context())
+                if m > 1 and workers > 1 else ThreadPoolExecutor)
     with executor(max_workers=workers, initializer=_start_run,
                   initargs=(rho0, velocity, box, n, noisy, seed, stream, chunk, m,
                             ds_eff, sig)) as pool:

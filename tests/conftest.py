@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from anisodiff.domain import AnisotropyParams, DomainBox
+from anisodiff.domain import AnisotropyParams, DomainBox, _float_array
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,9 @@ class ConstantFlow:
 
     def velocity(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """(cx, cy) at the given coordinates, new arrays that the caller may
-        overwrite."""
-        return (np.full_like(np.asarray(x, dtype=float), self.cx),
-                np.full_like(np.asarray(y, dtype=float), self.cy))
+        overwrite, in VelocityField's dtypes: float32 for float32 coordinates."""
+        return (np.full_like(_float_array(x), self.cx),
+                np.full_like(_float_array(y), self.cy))
 
 
 @pytest.fixture

@@ -230,9 +230,11 @@ class InlinePool:
     each job in-process as it is submitted."""
 
     sizes: list[int] = []
+    contexts: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.sizes.append(max_workers)
+        self.contexts.append(mp_context)
 
     def __enter__(self):
         return self
@@ -308,6 +310,15 @@ class TestSweepAndFit:
         fit = scale_invariant_sweep(box, [1e-3, 5e-3, 2e-2, 1e-1])
         assert InlinePool.sizes == [4]
         assert abs(fit.slope - 1.0) <= max(fit.ci95, 1e-6)
+
+    def test_workers_start_from_the_particles_context(self, monkeypatch):
+        # fork where offered, as feynman_kac's workers (particles._pool_context)
+        from anisodiff import analysis, particles
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(InlinePool, "contexts", [])
+        scale_invariant_sweep(DomainBox(1.0, 1.0, 32, 32), [1e-3, 5e-3, 2e-2, 1e-1])
+        assert InlinePool.contexts == [particles._pool_context()]
 
     def test_all_failing_aborts_with_causes(self):
         box = DomainBox(1.0, 1.0, 32, 32)

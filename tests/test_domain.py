@@ -122,6 +122,21 @@ class TestWrapBits:
                 assert_same_bits(got, box.wrap_x(s))
                 assert_same_bits(got, mod_wrap(s, half))
 
+    @pytest.mark.parametrize("half", [1.0, 0.7, 1.0 / 3.0, 2.5, 1e-3])
+    def test_in_place_fold_keeps_float32(self, half):
+        # a float32 array is folded in float32: numpy's float32 remainder,
+        # with half and the period rounded to float32, bit for bit
+        with np.errstate(invalid="ignore", over="ignore"):
+            for s in wrap_edge_cases(half):
+                s32 = np.array(s, dtype=np.float32)
+                for t in (s32, np.nextafter(s32, np.float32(np.inf)),
+                          np.nextafter(s32, np.float32(-np.inf))):
+                    t = np.array(t, dtype=np.float32)     # nextafter of 0-d gives a scalar
+                    want = mod_wrap(t, half)
+                    got = _wrap_in_place(t.copy(), half)
+                    assert_same_bits(got, want)
+                    assert got.dtype == np.float32
+
 
 def wrap_edge_cases(half):
     """Inputs on both paths of the fold: within one period of the box, and
@@ -162,7 +177,7 @@ class TestFusedVelocityBits:
         s = np.concatenate([rng.uniform(-1.0, 1.0, 40), [0.0, -0.0, 1e-3, -1.0, 0.5]])
         xg, yg = np.meshgrid(s, s[::-1], indexing="ij")   # includes both axes
         return [(xg, yg), (s[:, None], s[None, ::-1]), (np.array(0.0), np.array(0.7)),
-                (0.3, -0.4)]
+                (0.3, -0.4), (np.arange(-2, 3)[:, None], np.arange(3)[None, ::-1])]
 
     @pytest.mark.parametrize("eps", [0.0, 1e-2])
     @pytest.mark.parametrize("q", EXPONENTS)
@@ -195,6 +210,30 @@ class TestFusedVelocityBits:
                 b = s * s + eps * eps
                 assert_same_bits(profile(s, 1, eps), np.sqrt(b))
                 assert_same_bits(profile(s, 4, eps), b * b)
+
+
+class TestFloat32Velocity:
+    """The particles' float32 steps: float32 coordinates give float32
+    components, within float32 rounding of the float64 evaluation."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @pytest.mark.parametrize("family, p, q", [("stream", 2, 3), ("stream", 1.5, 1),
+                                              ("stream", 5, 2.5), ("shear", 2, 3),
+                                              ("shear", 2, 1)])
+    def test_float32_in_float32_out(self, family, p, q, eps):
+        vel = VelocityField(family, AnisotropyParams(p=p, q=q), 0.7, eps)
+        for x, y in TestFusedVelocityBits.points()[:2]:
+            x32, y32 = x.astype(np.float32), y.astype(np.float32)
+            got = vel.velocity(x32, y32)
+            want = vel.velocity(x32.astype(float), y32.astype(float))
+            for g, w in zip(got, want):
+                assert g.dtype == np.float32 and g.shape == w.shape
+                assert np.max(np.abs(g - w)) <= 1e-6 * max(np.max(np.abs(w)), 1.0)
+
+    def test_zero_field_gives_float32_zeros(self):
+        x = np.linspace(-1.0, 1.0, 5, dtype=np.float32)
+        for u in VelocityField("zero").velocity(x, x[::-1]):
+            assert_same_bits(u, np.zeros(5, dtype=np.float32))
 
 
 class TestMakeVelocity:

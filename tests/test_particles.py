@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from anisodiff.domain import AnisotropyParams, DomainBox, VelocityField, make_velocity
+from anisodiff.domain import (AnisotropyParams, DomainBox, VelocityField, _wrap_in_place,
+                              make_velocity)
 from anisodiff.errors import ConfigError
 from anisodiff.fields import ScalarField, fourier_mode, random_fourier_sum, sample_many
 from anisodiff import particles
@@ -317,16 +318,23 @@ class TestTwoPointLaw:
     KAPPA, T = 0.45, 0.1
 
     def test_one_step_displacements_are_fair_signs(self, box64):
+        """The step runs in float32: every endpoint is the float32 fold of the
+        float32 launch point, less the float32 drift c ds, plus or minus
+        np.float32(sig), and the signs are fair and independent."""
         n = 4000
-        sig = np.sqrt(2.0 * self.KAPPA * self.T)
+        sig = np.float32(np.sqrt(2.0 * self.KAPPA * self.T))
+        assert particles._step_dtype(box64, self.FIELD, 1, sig) == np.float32
         x, y = endpoints(box64, self.FIELD, 0.0, 0.0, self.T, self.KAPPA, n, self.T,
                          seed=3)
-        dx = box64.wrap_x(x + 0.3 * self.T)       # the drift -c ds added back
-        dy = box64.wrap_y(y - 0.2 * self.T)
-        for d in (dx, dy):
-            assert np.all(np.abs(np.abs(d) - sig) <= 1e-12)
+        ups = []
+        for end, c in ((x, 0.3), (y, -0.2)):
+            after_drift = np.float32(0.0) - np.float32(c) * np.float32(self.T)
+            down, up = _wrap_in_place(after_drift + np.array([-sig, sig]), 1.0)
+            assert end.dtype == np.float64 and down != up
+            assert np.all((end == down) | (end == up))
+            ups.append(end == up)
         se = 0.5 / np.sqrt(n)
-        for share in (np.mean(dx > 0), np.mean(dy > 0), np.mean((dx > 0) == (dy > 0))):
+        for share in (np.mean(ups[0]), np.mean(ups[1]), np.mean(ups[0] == ups[1])):
             assert abs(share - 0.5) <= 3 * se
 
     def test_mean_is_the_two_point_factor(self, box64):
@@ -394,7 +402,7 @@ class InlinePool:
 
     chunk_sizes: list[int] = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers, initializer, initargs, mp_context=None):
         initializer(*initargs)
 
     def __enter__(self):
@@ -518,6 +526,30 @@ class TestSingleKernel:
             assert new.keys() == old.keys(), obj
             assert [k for k in old if new[k] is not old[k]] == [], obj
 
+    def test_worker_processes_start_by_fork_where_offered(self, stream_case,
+                                                          monkeypatch):
+        """The process pool starts from _pool_context: fork where the platform
+        offers it, so a run is inherited under any default start method; the
+        platform's default context elsewhere."""
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        assert particles._pool_context() is (multiprocessing.get_context("fork") if fork
+                                             else multiprocessing.get_context())
+        rho, vel, launch = stream_case
+        contexts = []
+
+        class Recording(particles.ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context, **kwargs):
+                contexts.append(mp_context)
+                super().__init__(max_workers, mp_context, **kwargs)
+
+        monkeypatch.setattr(particles, PROCESSES, Recording)
+        monkeypatch.setattr(particles, "_CHUNK_TRAJECTORIES", 1920)   # 3 chunks
+        monkeypatch.setattr(particles, "_cpu_count", lambda: 2)
+        feynman_kac(rho, vel, 0.2, 0.05, n=60, ds=0.02, seed=17, launch_box=launch)
+        assert contexts == [particles._pool_context()]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert particles._pool_context() is multiprocessing.get_context()
+
     def test_endpoints_reproduce_feynman_kac_point(self, stream_case):
         """endpoints draws from feynman_kac's launch point 0 of stream 0."""
         rho, vel, launch = stream_case
@@ -574,6 +606,84 @@ def test_moments_match_the_endpoint_oracle(params23, family):
     assert vmap.values[0, 0] == m2 * n / (n - 1)
     assert expect > 0.0
     assert abs(vmap.var_of_var[0, 0] - expect) <= 1e-13 * expect
+
+
+def steps_in_float64(monkeypatch):
+    """Make _trajectories step in float64 whatever the precision rule says:
+    the reference that the float32 steps are held against."""
+    monkeypatch.setattr(particles, "_step_dtype", lambda *args: np.float64)
+
+
+class TestFloat32Steps:
+    """Drifted, noisy runs inside the precision rule step in float32; the
+    rest step in float64, with the bits of the float64 arithmetic."""
+
+    VEL = make_velocity(AnisotropyParams(p=2, q=3), 0.25, 1e-3)   # criterion 7's flow
+    T, KAPPA, DS = 0.5, 0.05, 2.5e-3                             # ... and its run: m = 200
+
+    def test_rule(self, box64):
+        sig = np.sqrt(2.0 * self.KAPPA * self.DS)
+        assert particles._step_dtype(box64, self.VEL, 200, sig) == np.float32
+        # 4 m eps32 L <= 1e-3 sqrt(2 kappa t) with sqrt(2 kappa t) = sig sqrt(m):
+        # m <= 296 at t = 0.2, kappa = 0.05 and L = 1
+        for m, dtype in ((296, np.float32), (297, np.float64)):
+            assert particles._step_dtype(box64, self.VEL, m, np.sqrt(0.02 / m)) == dtype
+        assert particles._step_dtype(DomainBox(3.0, 1.0, 8, 8), self.VEL, 200,
+                                     sig) == np.float64
+        assert particles._step_dtype(box64, self.VEL, 200, 0.0) == np.float64
+        assert particles._step_dtype(box64, VelocityField("zero"), 1, sig) == np.float64
+
+    def test_moments_agree_with_float64_steps(self, monkeypatch):
+        """fk_stream's run on an 8x8 launch grid: the float32 mean and variance
+        map are within 1% of their Monte Carlo standard errors of the
+        float64 steps from the same bits (measured: 2e-4 and 1e-4)."""
+        rho = fourier_mode(DomainBox(1.0, 1.0, 128, 128), 1, 1)
+        n = 1000
+        args = (rho, self.VEL, self.T, self.KAPPA, n, self.DS, 9)
+        launch = DomainBox(1.0, 1.0, 8, 8)
+        mean32, var32 = feynman_kac(*args, launch_box=launch)
+        steps_in_float64(monkeypatch)
+        mean64, var64 = feynman_kac(*args, launch_box=launch)
+        stderr = np.sqrt(var64.values / n)
+        assert np.max(np.abs(mean32.values - mean64.values) / stderr) <= 1e-2
+        assert np.max(np.abs(var32.values - var64.values)
+                      / np.sqrt(var64.var_of_var)) <= 1e-2
+        assert not np.array_equal(mean32.values, mean64.values)
+
+    def test_paths_away_from_the_seam_agree(self, box64, monkeypatch):
+        """From launch points away from the x = +-1 and y = +-1 seams, every
+        float32 endpoint is within the rule's rounding bound 4 m eps32 L of
+        the float64 endpoint from the same bits (measured: <= 4.4e-6 of
+        9.5e-5)."""
+        bound = 4 * 200 * np.finfo(np.float32).eps * 1.0
+        for x0, y0 in ((0.3, -0.4), (0.0, 0.5), (-0.5, 0.2), (0.1, 0.1)):
+            args = (box64, self.VEL, x0, y0, self.T, self.KAPPA, 1000, self.DS, 5)
+            with monkeypatch.context() as patch:
+                steps_in_float64(patch)
+                want = endpoints(*args)
+            got = endpoints(*args)
+            for g, w, wrap in zip(got, want, (box64.wrap_x, box64.wrap_y)):
+                assert g.dtype == np.float64
+                assert np.max(np.abs(wrap(g - w))) <= bound, (x0, y0)
+
+    def test_small_step_keeps_float64_bits(self, box64):
+        """ds = 2e-4 at t = 0.2 (m = 1000) is outside the rule: the endpoints
+        are the float64 weak scheme's, replayed from the module docstring's
+        bit law."""
+        n, t, ds, seed, kappa = 64, 0.2, 2e-4, 7, 0.05
+        m = round(t / ds)
+        sig = np.sqrt(2.0 * kappa * (t / m))
+        x, y = endpoints(box64, self.VEL, 0.1, -0.2, t, kappa, n, ds, seed)
+        gen = _substream(seed, 0, 0)
+        want_x, want_y = box64.wrap_x(np.full(n, 0.1)), box64.wrap_y(np.full(n, -0.2))
+        for _ in range(m):
+            words = gen.bit_generator.random_raw(-(-2 * n // 64)).astype("<u8")
+            bits = np.unpackbits(words.view(np.uint8), count=2 * n, bitorder="little")
+            noise = bits * (2.0 * sig) - sig
+            want_x, want_y = particles._em_step(box64, self.VEL, want_x, want_y, t / m,
+                                                noise[:n], noise[n:])
+        assert_same_bits(x, want_x)
+        assert_same_bits(y, want_y)
 
 
 class TestVarianceIntegral:

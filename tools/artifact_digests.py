@@ -85,6 +85,9 @@ CASES = {
     # ... and at epsilon = 0, the slopes pinned to 0 on the axes
     "sde_p1.5_q1_eps0_k0.05": ("sde", {**SDE, **P15_Q1, "domain.epsilon": 0.0,
                                        "solver.kappa": 0.05}),
+    # 1000 steps of ds = 2e-4 fall outside the float32 precision rule: the
+    # drifted steps run in float64
+    "sde_small_ds_k0.05": ("sde", {**SDE, "solver.kappa": 0.05, "particles.ds": 2e-4}),
     "fdr_stream_k0.05": ("fdr", {**FDR, "solver.kappa": 0.05}),
     "fdr_stream_p1.5_q1_k0.05": ("fdr", {**FDR, **P15_Q1, "solver.kappa": 0.05}),
     # 100 launch points: four chunks, the last of 4 points
