@@ -32,13 +32,9 @@ from .solver import DecaySeries, SolverConfig, run, whole_steps
 DEFAULT_FIT_WINDOW = (0.1, 0.9)
 
 
-def _exponent(name: str, formula, p, q):
-    """formula(p, q) from an AnisotropyParams or two finite exponents > 0,
-    in Fractions when both are rational, else in floats."""
-    if isinstance(p, AnisotropyParams):
-        if q is not None:
-            raise ConfigError(f"{name}: pass params or (p, q), not both")
-        p, q = p.p, p.q
+def _exponent(formula, p, q):
+    """formula(p, q) for two finite exponents > 0, in Fractions when both
+    are rational, else in floats."""
     if not (0 < p < np.inf and 0 < q < np.inf):
         raise ConfigError(f"exponent: p and q must be > 0 and finite, got ({p}, {q})")
     if all(isinstance(v, Rational) and not isinstance(v, bool) for v in (p, q)):
@@ -46,22 +42,21 @@ def _exponent(name: str, formula, p, q):
     return formula(float(p), float(q))
 
 
-def theoretical_exponent(p, q=None):
+def theoretical_exponent(p, q):
     """Rate exponent p*q/(p+q+2).
 
-    Accepts an AnisotropyParams or the two exponents directly.  Integer or
-    Fraction inputs are evaluated in exact rational arithmetic and return
-    a Fraction; floats return a float.
+    Integer or Fraction inputs are evaluated in exact rational arithmetic
+    and return a Fraction; floats return a float.
     """
-    return _exponent("theoretical_exponent", lambda p, q: p * q / (p + q + 2), p, q)
+    return _exponent(lambda p, q: p * q / (p + q + 2), p, q)
 
 
-def figure1_exponent(p, q=None):
+def figure1_exponent(p, q):
     """The exponent family p/(p+q) used by the packaged figure-1 curves.
 
     Differs from theoretical_exponent for all p, q > 0; see exponent_report.
     """
-    return _exponent("figure1_exponent", lambda p, q: p / (p + q), p, q)
+    return _exponent(lambda p, q: p / (p + q), p, q)
 
 
 # (prefactor, exponent) of the three fixed figure-1 curves; the exponents

@@ -10,14 +10,14 @@ that is not null and of an amplitude in initial.terms, accepts an int or
 a finite float (no bool, string, NaN or infinity).  The rules on values
 are the owning modules', which name the config fields: the domain,
 velocity, solver and initial-field constructors, check_sweep (which
-builds every kappa's SolverConfig), the fit window and the fdr
-checkpoints.  initial.amplitude scales every kind of initial field, a
-sum's terms included.  A rerun merges its
-manifest's config over the defaults exactly as a config file is merged,
-so a field this version does not know, such as one an earlier version
-had, is rejected as in a config file.  So is each `--set a.b=value`: it
-is merged as the document {"a": {"b": value}}, so a whole section may be
-set, and the merge names any unknown field.
+builds every kappa's SolverConfig), particles.time_grid and the
+particle seed's key rule, the fit window and the fdr checkpoints.
+initial.amplitude scales every kind of initial field, a sum's terms
+included.  A rerun merges its manifest's config over the defaults exactly
+as a config file is merged, so a field this version does not know, such
+as one an earlier version had, is rejected as in a config file.  So is
+each `--set a.b=value`: it is merged as the document {"a": {"b": value}},
+so a whole section may be set, and the merge names any unknown field.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import particles
 from .analysis import check_checkpoint, check_sweep, check_window
 from .domain import AnisotropyParams, DomainBox, VelocityField
 from .errors import ConfigError
@@ -64,8 +65,7 @@ DEFAULTS = {
 }
 
 # the lower bounds that no owner states for every command
-_LOWER_BOUNDS = {"initial.max_mode": 1, "initial.seed": 0, "particles.n": 2,
-                 "particles.seed": 0}
+_LOWER_BOUNDS = {"initial.max_mode": 1, "initial.seed": 0}
 # the per-kappa ladders, whose default null stands for a list of numbers
 _LADDERS = ("sweep.dts", "sweep.t_ends")
 
@@ -224,9 +224,8 @@ def build_config(doc: dict) -> RunConfig:
         solver = SolverConfig(kappa=float(sol["kappa"]), dt=float(sol["dt"]),
                               t_end=float(sol["t_end"]), scheme=sol["scheme"],
                               record_every=sol["record_every"])
-        for field in ("ds", "t"):
-            if not float(par[field]) > 0.0:
-                raise ConfigError(f"particles.{field}: must be > 0, got {par[field]}")
+        particles.time_grid(velocity, float(par["t"]), solver.kappa, par["n"], float(par["ds"]))
+        particles._check_key("particles.seed", par["seed"])
         launch_box = _build_launch_box(box, par)
         if experiment == "fdr":
             check_checkpoint(par["times"], solver.dt, solver.record_every)

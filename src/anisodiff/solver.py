@@ -1,20 +1,21 @@
 """Time integration of the drift-diffusion equation on the periodic box.
 
 The flow is steady and dt fixed, so one step of either scheme is a fixed
-map, built once per run: v <- irfft2(factor * rfft2(P v)) on the flattened
-field, with P a sparse matrix and factor a per-mode multiplier whose zero
-mode, factor[0, 0] = 0, is the mean-zero projection: the map acts on the
-mean-zero subspace, where the decay is measured.  The default scheme,
-sl_cn, is semi-Lagrangian advection (P samples bilinearly at the departure
-points, traced back with a second-order midpoint rule) composed with
-Crank-Nicolson diffusion, every other Fourier mode updated exactly by the
-rational CN factor; it is unconditionally stable, so long runs at small
-diffusivity are cheap.  The explicit upwind scheme, P = I + dt (kappa L_h -
-A_h) and a factor of 1 except at the zero mode, is kept as a cross-check.
-It is accepted only when every weight of P is non-negative, that is
-dt <= 1 / max(2 kappa/hx^2 + 2 kappa/hy^2 + |u_x|/hx + |u_y|/hy) over the
-cells, so each step is a convex average; building P checks this, before
-any compute.
+map; step_operator, the one place that knows its form, builds it once per
+run: v <- irfft2(factor * rfft2(P v)) on the flattened field, with P a
+sparse matrix (none for sl_cn on the zero field) and factor a per-mode
+multiplier whose zero mode, factor[0, 0] = 0, is the mean-zero projection:
+the map acts on the mean-zero subspace, where the decay is measured.  The
+default scheme, sl_cn, is semi-Lagrangian advection (P samples bilinearly
+at the departure points, traced back with a second-order midpoint rule)
+composed with Crank-Nicolson diffusion, every other Fourier mode updated
+exactly by the rational CN factor; it is unconditionally stable, so long
+runs at small diffusivity are cheap.  The explicit upwind scheme, P = I +
+dt (kappa L_h - A_h) and a factor of 1 except at the zero mode, is kept as
+a cross-check.  It is accepted only when every weight of P is non-negative,
+that is dt <= 1 / max(2 kappa/hx^2 + 2 kappa/hy^2 + |u_x|/hx + |u_y|/hy)
+over the cells, so each step is a convex average; building P checks this,
+before any compute.
 """
 from __future__ import annotations
 
@@ -141,9 +142,9 @@ def _upwind_matrix(box: DomainBox, velocity: VelocityField, cfg: SolverConfig):
     return stencil_matrix(box, i, j, ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)), weights)
 
 
-def _step_map(box: DomainBox, velocity: VelocityField, cfg: SolverConfig):
-    """(P, factor) of one step, as the module docstring sets out; None
-    stands for the identity P, and factor[0, 0] = 0 for both schemes."""
+def step_operator(box: DomainBox, velocity: VelocityField, cfg: SolverConfig):
+    """One step of cfg's scheme as a function v -> v' on (nx, ny) arrays: the
+    map of the module docstring, with its trace, P and factor built here, once."""
     if cfg.scheme == SCHEME_UPWIND:
         P, factor = _upwind_matrix(box, velocity, cfg), np.ones((box.nx, box.ny // 2 + 1))
     else:
@@ -154,7 +155,12 @@ def _step_map(box: DomainBox, velocity: VelocityField, cfg: SolverConfig):
         a = 0.5 * cfg.kappa * cfg.dt * (kx[:, None] ** 2 + ky[None, :] ** 2)
         factor = (1.0 - a) / (1.0 + a)
     factor[0, 0] = 0.0
-    return P, factor
+
+    def step(v):
+        if P is not None:
+            v = (P @ v.ravel()).reshape(v.shape)
+        return np.fft.irfft2(factor * np.fft.rfft2(v), s=v.shape)
+    return step
 
 
 def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> DecaySeries:
@@ -165,7 +171,7 @@ def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> DecayS
     those samples, with ||grad rho||^2 from centered differences.
     rho0 must be finite and mean-zero, |mean| <= MEAN_ZERO_TOL * max|rho0| on
     its values (a ConfigError otherwise); mean_zero_project(f) makes any
-    field mean-zero.  The step map drops the zero mode, so every recorded
+    field mean-zero.  The step drops the zero mode, so every recorded
     field, and the final one, is mean-zero to rounding.
     """
     max0 = old_max = np.max(np.abs(rho0.values))
@@ -173,7 +179,7 @@ def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> DecayS
         raise ConfigError("solver.run: rho0 must be finite")
     if abs(np.mean(rho0.values)) > MEAN_ZERO_TOL * max0:
         raise ConfigError("solver.run: rho0 must be mean-zero")
-    P, factor = _step_map(rho0.box, velocity, cfg)
+    step = step_operator(rho0.box, velocity, cfg)
 
     n_steps = cfg.n_steps()
     f = rho0
@@ -183,8 +189,7 @@ def run(rho0: ScalarField, velocity: VelocityField, cfg: SolverConfig) -> DecayS
     diss = [0.0]
     for i in range(1, n_steps + 1):
         t = i * cfg.dt
-        vals = f.values if P is None else (P @ f.values.ravel()).reshape(f.values.shape)
-        f = ScalarField(f.box, np.fft.irfft2(factor * np.fft.rfft2(vals), s=vals.shape))
+        f = ScalarField(f.box, step(f.values))
         new_max = np.max(np.abs(f.values))
         if not np.isfinite(new_max) or (old_max > 0 and new_max > GROWTH_LIMIT * old_max):
             raise InstabilityError(

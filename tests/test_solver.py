@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from anisodiff.domain import DomainBox, VelocityField, make_velocity
 from anisodiff.errors import ConfigError, InstabilityError
@@ -55,7 +54,7 @@ class TestConfigValidation:
     def test_cfl_no_bound_for_semi_lagrangian(self, box64, params23):
         vel = make_velocity(params23, 1.0, 1e-3)
         cfg = SolverConfig(kappa=0.05, dt=0.5, t_end=1.0, record_every=1)
-        solver_mod._step_map(box64, vel, cfg)  # no error
+        solver_mod.step_operator(box64, vel, cfg)  # no error
 
     def test_compound_upwind_rejected_before_any_step(self):
         # each of the old per-mechanism bounds, 0.9 * min(h^2/4k, h/|u|), is
@@ -74,21 +73,21 @@ class TestConfigValidation:
         assert f"needs dt <= {dt / 2.7:.3e}" in str(err.value)
 
     def test_upwind_bound_is_the_reported_dt(self, box64, params23):
-        # just below the dt the error reports, the step map builds; just above, not
+        # just below the dt the error reports, P builds; just above, not
         vel = make_velocity(params23, 1.0, 1e-3)
 
-        def step_map(dt):
+        def upwind_matrix(dt):
             cfg = SolverConfig(kappa=0.05, dt=dt, t_end=dt, scheme="upwind",
                                record_every=1)
-            return solver_mod._step_map(box64, vel, cfg)
+            return solver_mod._upwind_matrix(box64, vel, cfg)
 
         with pytest.raises(ConfigError, match="solver.dt") as err:
-            step_map(0.05)
+            upwind_matrix(0.05)
         bound = float(str(err.value).rsplit("dt <= ", 1)[1])
-        P, _ = step_map(bound * (1 - 1e-3))
+        P = upwind_matrix(bound * (1 - 1e-3))
         assert np.all(P.data >= 0.0)
         with pytest.raises(ConfigError, match="solver.dt"):
-            step_map(bound * (1 + 1e-3))
+            upwind_matrix(bound * (1 + 1e-3))
 
 
 class TestDiffusionStep:
@@ -367,7 +366,8 @@ def roll_upwind_step(v, vel, box, kappa, dt):
 
 
 class TestStepMap:
-    """The sparse step matrices keep the invariants the schemes rely on."""
+    """The step operator and its sparse matrices keep the invariants the
+    schemes rely on."""
 
     @pytest.mark.parametrize("box", [DomainBox(1.0, 1.0, 64, 64),
                                      DomainBox(0.7, 0.7, 24, 24)],
@@ -387,9 +387,7 @@ class TestStepMap:
     def test_upwind_matrix_matches_roll_stencil(self, box, params23):
         vel = make_velocity(params23, 0.3, 1e-3)
         cfg = SolverConfig(kappa=0.05, dt=2e-3, t_end=1.0, scheme="upwind")
-        P, factor = solver_mod._step_map(box, vel, cfg)
-        assert factor[0, 0] == 0.0
-        assert np.all(np.delete(factor.ravel(), 0) == 1.0)
+        P = solver_mod._upwind_matrix(box, vel, cfg)
         assert np.all(P.data >= 0.0)
         assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
         rho = random_fourier_sum(box, 3, seed=4)
@@ -398,21 +396,33 @@ class TestStepMap:
         out = one_step(rho, vel, cfg)
         assert np.max(np.abs(out.values - ref.values)) <= 1e-14 * np.max(np.abs(ref.values))
 
+    @pytest.mark.parametrize("scheme,amplitude", [("sl_cn", 1.0), ("sl_cn", 0.0),
+                                                  ("upwind", 1.0)],
+                             ids=["sl_cn-stream", "sl_cn-zero", "upwind"])
+    def test_step_operator_is_one_step(self, params23, scheme, amplitude):
+        # callers hold arrays and step them repeatedly: the step returns a
+        # new array with the bits of one_step and leaves its input alone
+        box = DomainBox(1.0, 1.0, 32, 32)
+        vel = make_velocity(params23, amplitude, 1e-3)
+        cfg = SolverConfig(kappa=0.05, dt=2e-3, t_end=1.0, scheme=scheme)
+        v = random_fourier_sum(box, 3, seed=4).values
+        given = v.copy()
+        out = solver_mod.step_operator(box, vel, cfg)(v)
+        assert np.array_equal(out, one_step(ScalarField(box, given), vel, cfg).values)
+        assert not np.shares_memory(out, v)
+        assert np.array_equal(v, given)
+
 
 def scaled_identity(c):
-    """A stand-in for solver._step_map whose step multiplies the field by c
-    and, like the real one, drops the zero mode."""
-    def step_map(box, velocity, cfg):
-        factor = np.ones((box.nx, box.ny // 2 + 1))
-        factor[0, 0] = 0.0
-        return c * sparse.identity(box.nx * box.ny, format="csr"), factor
-    return step_map
+    """A stand-in for solver.step_operator whose step multiplies the field by
+    c, so a mean-zero field stays mean-zero."""
+    return lambda box, velocity, cfg: lambda v: c * v
 
 
 class TestInstability:
     def test_one_step_breaker(self, box64, monkeypatch):
-        # a step map that multiplies by 11 breaks the one-step limit at once
-        monkeypatch.setattr(solver_mod, "_step_map", scaled_identity(11.0))
+        # a step that multiplies by 11 breaks the one-step limit at once
+        monkeypatch.setattr(solver_mod, "step_operator", scaled_identity(11.0))
         cfg = SolverConfig(kappa=0.01, dt=0.01, t_end=1.0)
         with pytest.raises(InstabilityError) as err:
             run(fourier_mode(box64, 4, 4), VelocityField("zero"), cfg)
@@ -422,7 +432,7 @@ class TestInstability:
     def test_slow_blowup_breaker(self, monkeypatch):
         # 1.5x a step stays under the one-step limit, and no sample is
         # recorded before 1.5**12 passes GROWTH_LIMIT**2 = 100
-        monkeypatch.setattr(solver_mod, "_step_map", scaled_identity(1.5))
+        monkeypatch.setattr(solver_mod, "step_operator", scaled_identity(1.5))
         cfg = SolverConfig(kappa=0.01, dt=0.01, t_end=0.2, record_every=20)
         with pytest.raises(InstabilityError, match="exceeded 100x the initial value") as err:
             run(fourier_mode(DomainBox(1.0, 1.0, 16, 16)), VelocityField("zero"), cfg)
@@ -434,7 +444,7 @@ class TestEnergyGrowth:
 
     def test_run_raises_instability(self, box64, monkeypatch):
         # 1.01x per step: below the one-step breaker
-        monkeypatch.setattr(solver_mod, "_step_map", scaled_identity(1.01))
+        monkeypatch.setattr(solver_mod, "step_operator", scaled_identity(1.01))
         cfg = SolverConfig(kappa=0.01, dt=0.01, t_end=0.5, record_every=5)
         with pytest.raises(InstabilityError) as err:
             run(fourier_mode(box64, 1, 1), VelocityField("zero"), cfg)
